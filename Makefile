@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check race short sim bench benchall experiments fuzz fmt vet clean
+.PHONY: all build test check race short sim svcsmoke bench benchall experiments fuzz fmt vet clean
 
 all: build vet test
 
@@ -23,10 +23,10 @@ test:
 # 30-second smokes of the batched-ingress, model-checker (mixed-ops and
 # reset-storm), and WAL-replay fuzz targets,
 # a fleet-simulation smoke (`make sim`: 100k virtual connections, the
-# conservation ledger and firing-lag SLO asserted at exit), and a
-# one-iteration benchmark smoke so `make bench` can never rot
-# unnoticed (it compiles and enters every benchmark without measuring
-# anything).
+# conservation ledger and firing-lag SLO asserted at exit), a service
+# benchmark smoke (`make svcsmoke`), and a one-iteration benchmark smoke
+# so `make bench` can never rot unnoticed (it compiles and enters every
+# benchmark without measuring anything).
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -39,6 +39,7 @@ check:
 	$(GO) test -run=xxx -fuzz=FuzzWALReplay -fuzztime=30s ./internal/wal/
 	$(GO) test -run=xxx -fuzz=FuzzReplicaStream -fuzztime=30s ./internal/replica/
 	$(MAKE) sim
+	$(MAKE) svcsmoke
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 # Fleet-simulation smoke: 100k simulated connections, 4 virtual hours,
@@ -47,6 +48,13 @@ check:
 # exactly and p99.9 firing lag stays within the SLO.
 sim:
 	$(GO) run ./cmd/twfleet -conns 100000 -shards 2 -hours 4
+
+# Service benchmark smoke: svcbench is a module of its own, so the root
+# `go vet ./...` never reaches it. The short fire-storm run drives a
+# real twd and exits non-zero on any exactly-once oracle violation.
+svcsmoke:
+	cd svcbench && $(GO) vet ./...
+	bash svcbench/run.sh --workload fire-storm --seed 1 --seconds 5 --trace 0
 
 short:
 	$(GO) test -short ./...

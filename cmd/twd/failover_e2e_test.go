@@ -410,6 +410,9 @@ func TestE2EFailover(t *testing.T) {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
+	// A timer that fired between the loop's last poll and its /v1/timers
+	// read left the outstanding set unobserved: collect it from B's ring.
+	b.pollFired(t, cursorB, firedPost)
 
 	// Per-id exactly-once across the failover. sync-every=1 makes every
 	// observed pre-kill fire durable and therefore replicated: the pre

@@ -250,13 +250,16 @@ func (s *server) promote(ctx context.Context) (uint64, error) {
 
 // seedCounters loads the ledger counters and fired cursor from a
 // replayed state. firedSeq continues from Fired so a client's /v1/fired
-// cursor stays monotonic across a failover or restart.
+// cursor stays monotonic across a failover or restart; the ring empties
+// with it, since it must hold exactly the seqs up to firedSeq.
 func (s *server) seedCounters(st *wal.State) {
 	s.mu.Lock()
 	s.scheduled = st.Scheduled
 	s.firedN = st.Fired
 	s.cancelled = st.Cancelled
 	s.firedSeq = st.Fired
+	s.fired = s.fired[:0]
+	s.firedHead = 0
 	s.mu.Unlock()
 }
 

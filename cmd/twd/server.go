@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,8 +98,10 @@ const firedRingMax = 8192
 // same lock. The WAL's and lease table's internal mutexes are leaves
 // under s.mu. The facility is NEVER called with s.mu held: the journal's
 // TimerShed hook runs under a runtime's internal lock and takes s.mu,
-// so a facility call under s.mu would deadlock. wal.Commit (which can
-// block on fsync) also happens outside s.mu.
+// so a facility call under s.mu would deadlock. No fsync runs under s.mu
+// or on the timer driver: wal.Commit happens outside s.mu on the
+// request's goroutine, and the -sync-every count trigger for records
+// nobody commits is handed to syncLoop.
 type server struct {
 	cfg    config
 	clk    clock.Clock
@@ -139,17 +142,27 @@ type server struct {
 	// or rotating the log would drop acked-but-unpublished timers.
 	pending  map[uint64]*entry
 	earlyHit map[uint64]struct{} // fired before the admitting handler published the entry
-	fired    []firedEvent
-	firedSeq uint64
+	// fired is the /v1/fired history, a circular buffer: it grows by
+	// append up to firedRingMax, then each fire overwrites the oldest
+	// slot, firedHead. Seqs are contiguous, so it holds exactly the seqs
+	// (firedSeq-len(fired), firedSeq], oldest at firedHead.
+	fired     []firedEvent
+	firedHead int
+	firedSeq  uint64
 	// pushedSeq is the fired-ring watermark below which the push stage
 	// has already been amended into fire timelines: only the first
 	// delivery of an event counts as its push, no matter how many
 	// long-pollers later replay it.
 	pushedSeq uint64
-	// firedNotify is closed-and-replaced on every fire: the broadcast
-	// /v1/fired?wait= long-pollers block on.
+	// firedNotify is the broadcast /v1/fired?wait= long-pollers block
+	// on: made by the first poller to park, closed and cleared by the
+	// next fire. nil while nobody waits.
 	firedNotify chan struct{}
 	draining    bool
+	// unsynced counts appended records nobody commits (fire records and
+	// lease-expiry or orphan cancels) since the last sync request; see
+	// noteUnsyncedLocked.
+	unsynced int
 
 	// Lifetime counters, seeded from replay so the conservation ledger
 	//
@@ -161,6 +174,11 @@ type server struct {
 	shed, lateSettles            uint64
 
 	recovered *wal.RecoverResult
+
+	// syncKick carries -sync-every's count trigger to syncLoop; it holds
+	// one request. syncStop and syncDone stop the loop at shutdown.
+	syncKick           chan struct{}
+	syncStop, syncDone chan struct{}
 
 	compacting atomic.Bool
 	stopped    atomic.Bool // shutdown ran (it is one-shot)
@@ -192,30 +210,33 @@ func newServer(cfg config) (*server, error) {
 	if cfg.facTrace == 0 {
 		cfg.facTrace = 4096
 	}
-	log, rec, err := wal.Open(cfg.dir, wal.Options{
-		SyncEvery:    cfg.syncEvery,
-		SyncInterval: cfg.syncInterval,
-	})
+	// The WAL's own count trigger stays off (SyncEvery 0): it would fsync
+	// inside Append, which twd calls under s.mu and, for fire records, on
+	// the timer driver. twd counts the records nobody commits itself and
+	// hands the sync to syncLoop.
+	log, rec, err := wal.Open(cfg.dir, wal.Options{SyncInterval: cfg.syncInterval})
 	if err != nil {
 		return nil, fmt.Errorf("twd: open wal: %w", err)
 	}
 	s := &server{
-		cfg:         cfg,
-		clk:         cfg.clk,
-		log:         log,
-		entries:     make(map[uint64]*entry),
-		pending:     make(map[uint64]*entry),
-		earlyHit:    make(map[uint64]struct{}),
-		firedNotify: make(chan struct{}),
-		recovered:   rec,
-		repState:    rec.State,
-		logger:      cfg.logger,
-		stages:      newStageRecorder(cfg),
-		applyLag:    hdr.New(),
-		traceIDs:    newTraceIDs(),
-		scheduled:   rec.State.Scheduled,
-		firedN:      rec.State.Fired,
-		cancelled:   rec.State.Cancelled,
+		cfg:       cfg,
+		clk:       cfg.clk,
+		log:       log,
+		entries:   make(map[uint64]*entry),
+		pending:   make(map[uint64]*entry),
+		earlyHit:  make(map[uint64]struct{}),
+		syncKick:  make(chan struct{}, 1),
+		syncStop:  make(chan struct{}),
+		syncDone:  make(chan struct{}),
+		recovered: rec,
+		repState:  rec.State,
+		logger:    cfg.logger,
+		stages:    newStageRecorder(cfg),
+		applyLag:  hdr.New(),
+		traceIDs:  newTraceIDs(),
+		scheduled: rec.State.Scheduled,
+		firedN:    rec.State.Fired,
+		cancelled: rec.State.Cancelled,
 		// The fired cursor continues from the replayed fire count, so a
 		// client's /v1/fired `since` stays monotonic across restarts and
 		// failovers instead of resetting to zero.
@@ -273,7 +294,45 @@ func newServer(cfg config) (*server, error) {
 			return nil, err
 		}
 	}
+	// Started last, so the failure paths above have nothing to stop: a
+	// replay's kick waits in syncKick's buffer until the loop runs.
+	go s.syncLoop()
 	return s, nil
+}
+
+// syncLoop runs the fsyncs of -sync-every's count trigger, so neither
+// the timer driver nor any holder of s.mu waits on the disk. A failed
+// sync fails the log, and every acked path then answers 503.
+func (s *server) syncLoop() {
+	defer close(s.syncDone)
+	for {
+		select {
+		case <-s.syncStop:
+			return
+		case <-s.syncKick:
+			s.log.Sync()
+		}
+	}
+}
+
+// noteUnsyncedLocked counts n appended records that nobody commits and,
+// once cfg.syncEvery have accumulated, asks syncLoop for a sync. A kick
+// that finds syncKick full is already covered: the queued request's
+// Sync has not started yet, so it will include these records. Caller
+// holds s.mu.
+func (s *server) noteUnsyncedLocked(n int) {
+	if s.cfg.syncEvery <= 0 {
+		return
+	}
+	s.unsynced += n
+	if s.unsynced < s.cfg.syncEvery {
+		return
+	}
+	s.unsynced = 0
+	select {
+	case s.syncKick <- struct{}{}:
+	default:
+	}
 }
 
 // Journal implementation. TimerArmed and TimerStopped are no-ops: the
@@ -325,6 +384,7 @@ func (s *server) settleLocked(id uint64, e *entry, nowNS int64, wasShed bool) {
 	// one lost in a crash replays the timer, which re-fires — the
 	// documented at-least-once window.
 	s.log.Append(wal.Record{Op: wal.OpFire, Class: e.class, ID: id, Lease: e.leaseID, Deadline: e.deadline})
+	s.noteUnsyncedLocked(1)
 	s.firedN++
 	if wasShed {
 		s.shed++
@@ -342,16 +402,22 @@ func (s *server) settleLocked(id uint64, e *entry, nowNS int64, wasShed bool) {
 	tl.Add("enqueue", s.clk.Now().UnixNano()-nowNS)
 	tlSeq := s.stages.Record(tl)
 	s.firedSeq++
-	if len(s.fired) == firedRingMax {
-		s.fired = append(s.fired[:0], s.fired[1:]...)
-	}
-	s.fired = append(s.fired, firedEvent{
+	ev := firedEvent{
 		Seq: s.firedSeq, ID: id, FiredNS: nowNS, LagNS: lag, Payload: string(e.payload),
 		tlSeq: tlSeq,
-	})
-	// Wake the /v1/fired long-pollers: close-and-replace is a broadcast.
-	close(s.firedNotify)
-	s.firedNotify = make(chan struct{})
+	}
+	if len(s.fired) < firedRingMax {
+		s.fired = append(s.fired, ev)
+	} else {
+		s.fired[s.firedHead] = ev
+		s.firedHead = (s.firedHead + 1) % firedRingMax
+	}
+	// Wake the parked /v1/fired long-pollers, if any: a close is a
+	// broadcast.
+	if s.firedNotify != nil {
+		close(s.firedNotify)
+		s.firedNotify = nil
+	}
 }
 
 // onLeaseExpired is the lease table's OnExpire hook: the client stopped
@@ -392,6 +458,9 @@ func (s *server) gcLease(leaseID uint64, timers []uint64, commit bool) ([]uint64
 		s.cancelled++
 		victims = append(victims, e.tm)
 		cancelled = append(cancelled, tid)
+	}
+	if !commit {
+		s.noteUnsyncedLocked(1 + len(cancelled))
 	}
 	s.mu.Unlock()
 	if commit {
@@ -612,6 +681,7 @@ func (s *server) admit(items []scheduleItem, sp *stagetrace.Span) ([]scheduledAc
 				// already ran and missed this timer, so cancel it here.
 				delete(s.entries, id)
 				s.log.Append(wal.Record{Op: wal.OpCancel, Class: e.class, ID: id, Lease: it.Lease})
+				s.noteUnsyncedLocked(1)
 				s.cancelled++
 				orphans = append(orphans, timers[i])
 			}
@@ -873,7 +943,14 @@ func (s *server) handleLeaseRelease(w http.ResponseWriter, r *http.Request) {
 // instead of forcing the client to poll.
 func (s *server) handleFired(w http.ResponseWriter, r *http.Request) {
 	var since uint64
-	fmt.Sscanf(r.URL.Query().Get("since"), "%d", &since)
+	if ss := r.URL.Query().Get("since"); ss != "" {
+		v, err := strconv.ParseUint(ss, 10, 64)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "bad_request", "bad since cursor")
+			return
+		}
+		since = v
+	}
 	var wait time.Duration
 	if ws := r.URL.Query().Get("wait"); ws != "" {
 		d, err := time.ParseDuration(ws)
@@ -889,38 +966,36 @@ func (s *server) handleFired(w http.ResponseWriter, r *http.Request) {
 	deadline := time.Now().Add(wait)
 	for {
 		s.mu.Lock()
-		events := make([]firedEvent, 0, 32)
-		for _, ev := range s.fired {
-			if ev.Seq > since {
-				events = append(events, ev)
-			}
-		}
 		next := s.firedSeq
-		notify := s.firedNotify
-		// next > since with no events means the cursor predates the ring's
-		// retention: answer immediately so the client can resynchronize
-		// rather than block on history that will never reappear.
-		respond := len(events) > 0 || wait == 0 || next > since
-		// Amend the push leg into each event's fire timeline exactly
-		// once: the watermark advances under s.mu, so concurrent pollers
-		// claim disjoint first deliveries.
-		type pushMark struct {
-			tlSeq   uint64
-			firedNS int64
-		}
-		var pushes []pushMark
-		if respond && len(events) > 0 {
+		// next > since always answers at once: either events past the
+		// cursor exist, or the cursor predates the ring's retention and
+		// the client must resynchronize rather than block on history
+		// that will never reappear.
+		if wait == 0 || next > since {
+			events := s.firedSinceLocked(since)
+			// Amend the push leg into each event's fire timeline exactly
+			// once: the watermark advances under s.mu, so concurrent
+			// pollers claim disjoint first deliveries.
+			type pushMark struct {
+				tlSeq   uint64
+				firedNS int64
+			}
+			var pushes []pushMark
 			for _, ev := range events {
 				if ev.Seq > s.pushedSeq && ev.tlSeq != 0 {
 					pushes = append(pushes, pushMark{ev.tlSeq, ev.FiredNS})
 				}
 			}
-			if last := events[len(events)-1].Seq; last > s.pushedSeq {
-				s.pushedSeq = last
+			if len(events) > 0 && events[len(events)-1].Seq > s.pushedSeq {
+				s.pushedSeq = events[len(events)-1].Seq
 			}
-		}
-		s.mu.Unlock()
-		if respond {
+			s.mu.Unlock()
+			if len(events) > 0 && s.cfg.syncEvery == 1 {
+				// -sync-every 1 promises every record durable before it is
+				// acted on, and a client acts on a fire it sees: make the
+				// returned fire records durable before sending them.
+				s.log.Sync()
+			}
 			if len(pushes) > 0 {
 				pushNS := s.clk.Now().UnixNano()
 				for _, p := range pushes {
@@ -932,9 +1007,15 @@ func (s *server) handleFired(w http.ResponseWriter, r *http.Request) {
 		}
 		remain := time.Until(deadline)
 		if remain <= 0 {
-			writeJSON(w, map[string]any{"events": events, "next": next})
+			s.mu.Unlock()
+			writeJSON(w, map[string]any{"events": []firedEvent{}, "next": next})
 			return
 		}
+		if s.firedNotify == nil {
+			s.firedNotify = make(chan struct{})
+		}
+		notify := s.firedNotify
+		s.mu.Unlock()
 		t := time.NewTimer(remain)
 		select {
 		case <-notify: // a fire landed; re-collect
@@ -945,6 +1026,25 @@ func (s *server) handleFired(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+}
+
+// firedSinceLocked copies out the retained events past cursor since, in
+// seq order. The ring holds exactly (firedSeq-len(fired), firedSeq],
+// so the first event's slot follows from since alone and only the
+// returned events are touched. Caller holds s.mu.
+func (s *server) firedSinceLocked(since uint64) []firedEvent {
+	oldest := s.firedSeq - uint64(len(s.fired)) // newest seq no longer retained
+	if since < oldest {
+		since = oldest
+	}
+	if since >= s.firedSeq {
+		return []firedEvent{}
+	}
+	events := make([]firedEvent, s.firedSeq-since)
+	start := (s.firedHead + int(since-oldest)) % len(s.fired)
+	n := copy(events, s.fired[start:])
+	copy(events[n:], s.fired)
+	return events
 }
 
 // handleTimers lists the outstanding set — the daemon's answer to
@@ -1158,6 +1258,8 @@ func (s *server) shutdown(drainCtx context.Context) {
 	s.mu.Unlock()
 	s.leases.Close()
 	s.fac.Drain(drainCtx, timer.DrainCancelAll)
+	close(s.syncStop)
+	<-s.syncDone
 	s.mu.Lock()
 	s.log.Append(wal.Record{Op: wal.OpSeal})
 	s.mu.Unlock()

@@ -705,21 +705,29 @@ func TestFiredLongPoll(t *testing.T) {
 		t.Fatalf("caught-up cursor returned %d events", len(fr.Events))
 	}
 
-	// Malformed wait: 400 bad_request.
-	resp, err := http.Get(f.ts.URL + "/v1/fired?wait=banana")
-	if err != nil {
-		t.Fatal(err)
+	// Malformed wait or cursor: 400 bad_request. A cursor that does not
+	// parse must not read as 0 and replay the whole ring.
+	for _, q := range []string{"wait=banana", "since=abc", "since=-1", "since=18446744073709551616"} {
+		resp, err := http.Get(f.ts.URL + "/v1/fired?" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Error string `json:"error"`
+		}
+		derr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || derr != nil || body.Error != "bad_request" {
+			t.Fatalf("%s: %d %q (%v), want 400 bad_request", q, resp.StatusCode, body.Error, derr)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad wait = %d, want 400", resp.StatusCode)
-	}
+	f.get("/v1/fired?since=", &fr) // an empty cursor reads as 0
 
 	// A wait past the server bound is clamped, not refused: the poll
 	// with an absurd wait and a fresh fire still answers promptly.
 	f.post("/v1/schedule", map[string]any{"after_ms": 20}, nil, 200)
 	start := time.Now()
-	resp, err = http.Get(f.ts.URL + fmt.Sprintf("/v1/fired?since=%d&wait=10h", r.fr.Next))
+	resp, err := http.Get(f.ts.URL + fmt.Sprintf("/v1/fired?since=%d&wait=10h", r.fr.Next))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -807,5 +815,168 @@ func TestBootGCsExpiredLeases(t *testing.T) {
 	}
 	if h.Cancelled != 1 {
 		t.Fatalf("cancelled_total=%d, want the dead client's timer GC'd", h.Cancelled)
+	}
+}
+
+// fireN admits n timers due within a few ticks, in batches, and waits
+// until the daemon has fired want timers in total.
+func (f *fixture) fireN(n int, want uint64) {
+	f.t.Helper()
+	for n > 0 {
+		batch := make([]scheduleItem, min(n, 1000))
+		for i := range batch {
+			batch[i] = scheduleItem{AfterMS: 1}
+		}
+		f.post("/v1/schedule-batch", map[string]any{"timers": batch}, nil, 200)
+		n -= len(batch)
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		var h healthResp
+		f.get("/healthz", &h)
+		if h.Fired >= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			f.t.Fatalf("fired_total=%d, want %d", h.Fired, want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// checkContiguous asserts events carry the seqs first, first+1, ... and
+// that no timer appears twice.
+func checkContiguous(t *testing.T, events []firedEvent, first uint64) {
+	t.Helper()
+	ids := make(map[uint64]struct{}, len(events))
+	for i, ev := range events {
+		if ev.Seq != first+uint64(i) {
+			t.Fatalf("event %d has seq %d, want %d", i, ev.Seq, first+uint64(i))
+		}
+		if _, dup := ids[ev.ID]; dup {
+			t.Fatalf("timer %d delivered twice in one response", ev.ID)
+		}
+		ids[ev.ID] = struct{}{}
+	}
+}
+
+// TestFiredRingWrap fires past the fired ring's capacity and reads it
+// back through every kind of cursor: one older than the retention
+// window, one inside the ring, a caught-up one, and a long poll parked
+// while the ring wraps.
+func TestFiredRingWrap(t *testing.T) {
+	f := newFixture(t, nil)
+	const extra = 500
+	f.fireN(firedRingMax, firedRingMax)
+
+	// Park a long poll at the head of the full ring, then wrap it.
+	type pollResult struct {
+		fr  firedResp
+		err error
+	}
+	res := make(chan pollResult, 1)
+	go func() {
+		resp, err := http.Get(f.ts.URL + fmt.Sprintf("/v1/fired?since=%d&wait=10s", firedRingMax))
+		if err != nil {
+			res <- pollResult{err: err}
+			return
+		}
+		var fr firedResp
+		err = json.NewDecoder(resp.Body).Decode(&fr)
+		resp.Body.Close()
+		res <- pollResult{fr, err}
+	}()
+	parkBy := time.Now().Add(5 * time.Second)
+	for parked := false; !parked; time.Sleep(time.Millisecond) {
+		if time.Now().After(parkBy) {
+			t.Fatal("long poll never parked")
+		}
+		f.srv.mu.Lock()
+		parked = f.srv.firedNotify != nil
+		f.srv.mu.Unlock()
+	}
+	f.fireN(extra, firedRingMax+extra)
+	r := <-res
+	if r.err != nil {
+		t.Fatalf("parked poll: %v", r.err)
+	}
+	if len(r.fr.Events) == 0 {
+		t.Fatal("parked poll woke with no events across the wrap")
+	}
+	checkContiguous(t, r.fr.Events, firedRingMax+1)
+	if last := r.fr.Events[len(r.fr.Events)-1].Seq; r.fr.Next != last {
+		t.Fatalf("parked poll: next=%d, last event seq %d", r.fr.Next, last)
+	}
+
+	// since=0 predates retention: exactly the retained window comes back.
+	const total = firedRingMax + extra
+	var fr firedResp
+	f.get("/v1/fired?since=0", &fr)
+	if len(fr.Events) != firedRingMax || fr.Next != total {
+		t.Fatalf("since=0: %d events next=%d, want %d next=%d", len(fr.Events), fr.Next, firedRingMax, total)
+	}
+	checkContiguous(t, fr.Events, extra+1)
+
+	// A cursor inside the ring gets exactly the events past it.
+	const inside = total - 700
+	f.get(fmt.Sprintf("/v1/fired?since=%d", inside), &fr)
+	if len(fr.Events) != total-inside || fr.Next != total {
+		t.Fatalf("since=%d: %d events next=%d, want %d next=%d", inside, len(fr.Events), fr.Next, total-inside, total)
+	}
+	checkContiguous(t, fr.Events, inside+1)
+
+	// A caught-up cursor with wait=0 answers at once, empty.
+	f.get(fmt.Sprintf("/v1/fired?since=%d&wait=0s", total), &fr)
+	if len(fr.Events) != 0 || fr.Next != total {
+		t.Fatalf("caught-up cursor: %d events next=%d, want none next=%d", len(fr.Events), fr.Next, total)
+	}
+	f.checkLedger()
+}
+
+// TestSyncEveryBoundsFireRecords: fire records are committed by nobody,
+// so -sync-every alone must make them durable. With no admission after
+// the fires and no interval sync, the count trigger's background sync
+// has to cover the last fire record.
+func TestSyncEveryBoundsFireRecords(t *testing.T) {
+	const n = 8
+	f := newFixture(t, func(c *config) { c.syncEvery = n; c.syncInterval = 0 })
+	f.fireN(n, n)
+	lastFire := f.srv.log.Stats().LSN // the fires are the last appends
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := f.srv.log.Stats()
+		if st.Durable >= lastFire {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("durable LSN %d never reached the last fire record's %d", st.Durable, lastFire)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// BenchmarkSettleFullRing prices settling one fired timer once the fired
+// ring is full, so every settle overwrites its oldest slot: WAL append,
+// stage timeline, ring write.
+func BenchmarkSettleFullRing(b *testing.B) {
+	s, err := newServer(config{dir: b.TempDir(), syncEvery: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.shutdown(context.Background())
+	e := &entry{deadline: time.Now().UnixNano(), payload: []byte("settle-payload")}
+	settle := func(id uint64) {
+		s.mu.Lock()
+		s.entries[id] = e
+		s.settleLocked(id, e, time.Now().UnixNano(), false)
+		s.mu.Unlock()
+	}
+	for id := uint64(1); id <= firedRingMax; id++ {
+		settle(id)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		settle(uint64(firedRingMax + 1 + i))
 	}
 }
