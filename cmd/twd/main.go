@@ -111,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rec := srv.recovered
 	fmt.Fprintf(stdout, "twd recovered epoch=%d snapshot=%d log=%d outstanding=%d leases=%d torn=%v sealed=%v\n",
 		rec.Epoch, rec.SnapshotRecords, rec.LogRecords,
-		rec.State.Outstanding(), len(rec.State.Leases), rec.Torn, rec.State.Sealed)
+		rec.Outstanding, rec.Leases, rec.Torn, rec.Sealed)
 	fmt.Fprintf(stdout, "twd role=%s term=%d\n", srv.currentRole(), srv.currentTerm())
 	if *follow != "" {
 		fmt.Fprintf(stdout, "twd following %s\n", *follow)

@@ -232,35 +232,25 @@ func (s *server) promote(ctx context.Context) (uint64, error) {
 	}
 	s.termNow.Store(newTerm)
 
-	// Boot-style replay of the replicated state: arm every outstanding
-	// timer at its absolute deadline (past deadlines fire immediately
-	// with true lag), restore live leases, eagerly GC dead ones, seed
-	// the ID allocator and the fired cursor.
-	repState := s.repState
-	s.seedCounters(repState)
-	if err := s.replay(repState); err != nil {
+	// Boot-style replay of the replicated State the follower applied
+	// into: the fired cursor continues from its fire count, so client
+	// /v1/fired cursors stay monotonic across the failover (a standby
+	// fired nothing, so its ring is empty), then every outstanding timer
+	// arms at its absolute deadline (past deadlines fire immediately with
+	// true lag), live leases are restored, dead ones eagerly GC'd, and
+	// the ID allocator seeded.
+	s.mu.Lock()
+	s.firedSeq = s.state.Fired
+	outstanding := len(s.state.Timers)
+	s.mu.Unlock()
+	if err := s.replay(); err != nil {
 		return 0, fmt.Errorf("replay replicated state: %w", err)
 	}
 	s.roleNow.Store(int32(rolePrimary))
 	s.logger.Info("promoted to primary", "term", newTerm,
-		"outstanding", repState.Outstanding(),
+		"outstanding", outstanding,
 		"lag_bytes", st.BytesBehind, "lag_records", st.RecordsBehind)
 	return newTerm, nil
-}
-
-// seedCounters loads the ledger counters and fired cursor from a
-// replayed state. firedSeq continues from Fired so a client's /v1/fired
-// cursor stays monotonic across a failover or restart; the ring empties
-// with it, since it must hold exactly the seqs up to firedSeq.
-func (s *server) seedCounters(st *wal.State) {
-	s.mu.Lock()
-	s.scheduled = st.Scheduled
-	s.firedN = st.Fired
-	s.cancelled = st.Cancelled
-	s.firedSeq = st.Fired
-	s.fired = s.fired[:0]
-	s.firedHead = 0
-	s.mu.Unlock()
 }
 
 // handlePromote is POST /v1/promote.
@@ -283,7 +273,7 @@ func (s *server) startFollowing() error {
 		Primary:      s.cfg.follow,
 		Dir:          s.cfg.dir,
 		Journal:      s.log,
-		State:        s.repState,
+		State:        s.state,
 		Wait:         s.cfg.followWait,
 		PersistEvery: 128,
 		OnApply: func(rec wal.Record) {
@@ -298,7 +288,7 @@ func (s *server) startFollowing() error {
 				s.applyLag.Record(s.clk.Now().UnixNano() - rec.Deadline)
 			}
 		},
-		ApplyLock: &s.repMu,
+		ApplyLock: &s.mu,
 	})
 	if err != nil {
 		return err

@@ -58,22 +58,6 @@ type config struct {
 	facTrace int
 }
 
-// entry is one live timer the daemon tracks: the facility handle plus
-// the durable identity the WAL and the client speak.
-type entry struct {
-	tm       *timer.Timer
-	class    uint8
-	leaseID  uint64
-	deadline int64 // absolute wall deadline, unix nanoseconds
-	payload  []byte
-	// trace is the admitting request's correlation ID, inherited by the
-	// fire timeline so client -> admission -> fire reads as one story.
-	// Empty for timers reconstructed from the WAL (replay, promotion):
-	// the log deliberately carries no trace field, so cross-process
-	// correlation falls back to the durable timer ID.
-	trace string
-}
-
 // firedEvent is one delivery, kept in a bounded ring for /v1/fired.
 type firedEvent struct {
 	Seq     uint64 `json:"seq"`
@@ -92,11 +76,11 @@ const firedRingMax = 8192
 // server is the daemon: a sharded timer facility fronted by HTTP, with
 // every client-visible transition written ahead to the WAL.
 //
-// Lock order: s.mu is held for the in-memory tables (entries, pending,
-// fired ring, counters) and for every wal.Append — serializing appends
-// against compaction, which rebuilds the snapshot record set under the
-// same lock. The WAL's and lease table's internal mutexes are leaves
-// under s.mu. The facility is NEVER called with s.mu held: the journal's
+// Lock order: s.mu is held for the in-memory tables (the live State,
+// handles, traces, fired ring) and for every wal.Append — serializing
+// appends against compaction, which seeds the snapshot from the State
+// under the same lock. The WAL's and lease table's internal mutexes are
+// leaves under s.mu. The facility is NEVER called with s.mu held: the journal's
 // TimerShed hook runs under a runtime's internal lock and takes s.mu,
 // so a facility call under s.mu would deadlock. No fsync runs under s.mu
 // or on the timer driver: wal.Commit happens outside s.mu on the
@@ -112,15 +96,10 @@ type server struct {
 	nextID atomic.Uint64
 
 	// Replication identity: role transitions serialize on role.mu;
-	// roleNow/termNow are the lock-free read side. repState is the
-	// replayed-and-replicated wal.State — on a standby the follower keeps
-	// appending to it, and promotion replays it; on a primary it is only
-	// the boot recovery's state.
+	// roleNow/termNow are the lock-free read side.
 	role        roleState
 	roleNow     atomic.Int32
 	termNow     atomic.Uint64
-	repState    *wal.State
-	repMu       sync.Mutex // guards repState between the follower and healthz
 	replApplied atomic.Uint64
 	logger      *slog.Logger
 
@@ -133,15 +112,18 @@ type server struct {
 	traceIDs *traceIDs
 	slowNS   int64
 
-	mu      sync.Mutex
-	entries map[uint64]*entry
-	// pending holds admitted, WAL-logged timers whose arm/publish is
-	// still in flight, keyed by ID. Each carries the full durable record
-	// (tm is nil until armed): a compaction that interleaves between the
-	// WAL commit and the publish must fold these into the snapshot seed,
-	// or rotating the log would drop acked-but-unpublished timers.
-	pending  map[uint64]*entry
-	earlyHit map[uint64]struct{} // fired before the admitting handler published the entry
+	mu sync.Mutex
+	// state is the daemon's one record of which timers and leases exist
+	// and of the ledger: the boot recovery's State, to which a primary
+	// applies every record it appends and a standby's follower every
+	// record it replicates. An ID in it with no handle is an admission
+	// (or replay chunk) whose arm is still in flight.
+	state   *wal.State
+	handles map[uint64]*timer.Timer // armed, published timers
+	// traces holds the admitting request's correlation ID, inherited by
+	// the fire timeline. Replayed timers have none: the log carries no
+	// trace, so correlation falls back to the durable timer ID.
+	traces map[uint64]string
 	// fired is the /v1/fired history, a circular buffer: it grows by
 	// append up to firedRingMax, then each fire overwrites the oldest
 	// slot, firedHead. Seqs are contiguous, so it holds exactly the seqs
@@ -164,14 +146,9 @@ type server struct {
 	// noteUnsyncedLocked.
 	unsynced int
 
-	// Lifetime counters, seeded from replay so the conservation ledger
-	//
-	//	scheduled == fired + cancelled + len(entries)
-	//
-	// closes across restarts (compaction resets history to the
-	// outstanding set).
-	scheduled, firedN, cancelled uint64
-	shed, lateSettles            uint64
+	// shed counts settles the facility refused rather than delivered;
+	// lateSettles counts fires that found their timer already cancelled.
+	shed, lateSettles uint64
 
 	recovered *wal.RecoverResult
 
@@ -192,7 +169,7 @@ var noop = func() {}
 // newServer opens the WAL in cfg.dir, replays it, and — on a primary —
 // starts the facility with the recovered timers and leases re-armed. A
 // standby (cfg.follow) arms nothing: it streams the primary's WAL into
-// repState and only replays at promotion. A fenced boot
+// the same State and only arms it at promotion. A fenced boot
 // (cfg.startFenced) arms nothing and never will.
 func newServer(cfg config) (*server, error) {
 	if cfg.shards < 1 {
@@ -222,21 +199,17 @@ func newServer(cfg config) (*server, error) {
 		cfg:       cfg,
 		clk:       cfg.clk,
 		log:       log,
-		entries:   make(map[uint64]*entry),
-		pending:   make(map[uint64]*entry),
-		earlyHit:  make(map[uint64]struct{}),
+		state:     rec.State,
+		handles:   make(map[uint64]*timer.Timer),
+		traces:    make(map[uint64]string),
 		syncKick:  make(chan struct{}, 1),
 		syncStop:  make(chan struct{}),
 		syncDone:  make(chan struct{}),
 		recovered: rec,
-		repState:  rec.State,
 		logger:    cfg.logger,
 		stages:    newStageRecorder(cfg),
 		applyLag:  hdr.New(),
 		traceIDs:  newTraceIDs(),
-		scheduled: rec.State.Scheduled,
-		firedN:    rec.State.Fired,
-		cancelled: rec.State.Cancelled,
 		// The fired cursor continues from the replayed fire count, so a
 		// client's /v1/fired `since` stays monotonic across restarts and
 		// failovers instead of resetting to zero.
@@ -288,7 +261,7 @@ func newServer(cfg config) (*server, error) {
 			}
 		}
 		s.termNow.Store(term)
-		if err := s.replay(rec.State); err != nil {
+		if err := s.replay(); err != nil {
 			s.fac.Close()
 			log.Close()
 			return nil, err
@@ -353,43 +326,43 @@ func (s *server) TimerShed(tag uint64, _ timer.ID) { s.onSettled(tag, true) }
 // onSettled retires one delivered (or shed) timer: WAL fire record,
 // lease detach, fired-ring event. Lag is computed against the durable
 // wall-clock deadline, so a timer that fires on boot replay after
-// downtime reports the true lag, not the re-arm's.
+// downtime reports the true lag, not the re-arm's. A timer still
+// awaiting its handle settles the same way; its publish skips it.
 func (s *server) onSettled(id uint64, wasShed bool) {
 	now := s.clk.Now().UnixNano()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[id]
+	ts, ok := s.state.Timers[id]
 	if !ok {
-		if _, inflight := s.pending[id]; inflight {
-			// Fired before the admitting handler inserted the entry (a
-			// deadline inside the first tick): the handler settles it.
-			s.earlyHit[id] = struct{}{}
-			return
-		}
 		// Settled by a concurrent cancel (the WAL cancel record wins) or
 		// unknown: nothing to do.
 		s.lateSettles++
 		return
 	}
-	s.settleLocked(id, e, now, wasShed)
+	s.settleLocked(id, ts, now, wasShed)
 }
 
-// settleLocked retires entry e as fired/shed. Caller holds s.mu.
-func (s *server) settleLocked(id uint64, e *entry, nowNS int64, wasShed bool) {
-	delete(s.entries, id)
-	if e.leaseID != 0 {
-		s.leases.Detach(e.leaseID, id)
+// settleLocked retires outstanding timer id as fired/shed. Caller holds
+// s.mu.
+func (s *server) settleLocked(id uint64, ts wal.TimerState, nowNS int64, wasShed bool) {
+	trace, payload := s.traces[id], s.state.Payloads[id]
+	delete(s.handles, id)
+	delete(s.traces, id)
+	if ts.Lease != 0 {
+		s.leases.Detach(ts.Lease, id)
 	}
 	// Fire records ride the sync policy rather than an explicit commit:
 	// one lost in a crash replays the timer, which re-fires — the
-	// documented at-least-once window.
-	s.log.Append(wal.Record{Op: wal.OpFire, Class: e.class, ID: id, Lease: e.leaseID, Deadline: e.deadline})
+	// documented at-least-once window. The fire happened either way, so
+	// the State retires the timer even if the append failed.
+	rec := wal.Record{Op: wal.OpFire, Class: ts.Class, ID: id, Lease: ts.Lease, Deadline: ts.Deadline}
+	s.log.Append(rec)
+	s.state.Apply(rec)
 	s.noteUnsyncedLocked(1)
-	s.firedN++
 	if wasShed {
 		s.shed++
 	}
-	lag := nowNS - e.deadline
+	lag := nowNS - ts.Deadline
 	if lag < 0 {
 		lag = 0
 	}
@@ -397,13 +370,13 @@ func (s *server) settleLocked(id uint64, e *entry, nowNS int64, wasShed bool) {
 	// lag) and fire -> ring enqueue (this settle, WAL append included).
 	// The push leg is amended in by the long-poll delivery; shed work
 	// never reaches a client, so its timeline ends here.
-	tl := stagetrace.Timeline{Kind: "fire", Trace: e.trace, ID: id, Count: 1, StartNS: e.deadline}
+	tl := stagetrace.Timeline{Kind: "fire", Trace: trace, ID: id, Count: 1, StartNS: ts.Deadline}
 	tl.Add("fire", lag)
 	tl.Add("enqueue", s.clk.Now().UnixNano()-nowNS)
 	tlSeq := s.stages.Record(tl)
 	s.firedSeq++
 	ev := firedEvent{
-		Seq: s.firedSeq, ID: id, FiredNS: nowNS, LagNS: lag, Payload: string(e.payload),
+		Seq: s.firedSeq, ID: id, FiredNS: nowNS, LagNS: lag, Payload: string(payload),
 		tlSeq: tlSeq,
 	}
 	if len(s.fired) < firedRingMax {
@@ -418,6 +391,20 @@ func (s *server) settleLocked(id uint64, e *entry, nowNS int64, wasShed bool) {
 		close(s.firedNotify)
 		s.firedNotify = nil
 	}
+}
+
+// cancelLocked logs and applies the cancel of outstanding timer id,
+// returning its handle (nil if unpublished) to stop outside s.mu. The
+// State retires the timer even if the append failed: an acked caller
+// must then not report success. Caller holds s.mu.
+func (s *server) cancelLocked(id uint64, ts wal.TimerState) (*timer.Timer, wal.LSN, error) {
+	rec := wal.Record{Op: wal.OpCancel, Class: ts.Class, ID: id, Lease: ts.Lease}
+	lsn, err := s.log.Append(rec)
+	s.state.Apply(rec)
+	tm := s.handles[id]
+	delete(s.handles, id)
+	delete(s.traces, id)
+	return tm, lsn, err
 }
 
 // onLeaseExpired is the lease table's OnExpire hook: the client stopped
@@ -439,24 +426,24 @@ func (s *server) onLeaseExpired(id uint64, timers []uint64) {
 // at-least-once window a 503 permits).
 func (s *server) gcLease(leaseID uint64, timers []uint64, commit bool) ([]uint64, error) {
 	s.mu.Lock()
-	lsn, werr := s.log.Append(wal.Record{Op: wal.OpLeaseExpire, ID: leaseID})
+	rec := wal.Record{Op: wal.OpLeaseExpire, ID: leaseID}
+	lsn, werr := s.log.Append(rec)
+	s.state.Apply(rec)
 	victims := make([]*timer.Timer, 0, len(timers))
 	cancelled := make([]uint64, 0, len(timers))
 	for _, tid := range timers {
-		e, ok := s.entries[tid]
+		ts, ok := s.state.Timers[tid]
 		if !ok {
 			continue // already fired or cancelled
 		}
-		delete(s.entries, tid)
-		l, aerr := s.log.Append(wal.Record{Op: wal.OpCancel, Class: e.class, ID: tid, Lease: leaseID})
+		tm, l, aerr := s.cancelLocked(tid, ts)
 		if aerr != nil && werr == nil {
 			werr = aerr
 		}
 		if aerr == nil {
 			lsn = l
 		}
-		s.cancelled++
-		victims = append(victims, e.tm)
+		victims = append(victims, tm)
 		cancelled = append(cancelled, tid)
 	}
 	if !commit {
@@ -566,7 +553,7 @@ func (s *server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 
 // admit runs the durable admission protocol for a batch: validate,
 // write-ahead (one group commit for the whole batch), arm in the
-// facility, then publish the entries. The WAL commit precedes the arm
+// facility, then publish the handles. The WAL commit precedes the arm
 // so a crash after the ack always replays the timer; a crash before
 // the commit acks nothing and replays nothing.
 //
@@ -601,7 +588,9 @@ func (s *server) admit(items []scheduleItem, sp *stagetrace.Span) ([]scheduledAc
 	}
 	sp.Mark("decode")
 
-	// Write-ahead: one append per timer, one commit for the batch.
+	// Write-ahead: one append per timer, one commit for the batch. Each
+	// admission enters the State as it is appended, so a compaction from
+	// here on seeds it even though its arm is still in flight.
 	ids := make([]uint64, len(items))
 	s.mu.Lock()
 	if s.draining {
@@ -611,20 +600,25 @@ func (s *server) admit(items []scheduleItem, sp *stagetrace.Span) ([]scheduledAc
 	var lsn wal.LSN
 	for i, it := range items {
 		ids[i] = s.nextID.Add(1)
-		payload := []byte(it.Payload)
-		var err error
-		lsn, err = s.log.Append(wal.Record{
+		var payload []byte
+		if it.Payload != "" {
+			payload = []byte(it.Payload)
+		}
+		rec := wal.Record{
 			Op: wal.OpSchedule, Class: uint8(prios[i]), ID: ids[i],
 			Lease: it.Lease, Deadline: deadlines[i], Payload: payload,
-		})
+		}
+		var err error
+		lsn, err = s.log.Append(rec)
 		if err != nil {
 			s.abortAdmissionLocked(ids[:i])
 			s.mu.Unlock()
 			return nil, http.StatusServiceUnavailable, "wal_failed", fmt.Errorf("wal append: %w", err)
 		}
-		s.pending[ids[i]] = &entry{class: uint8(prios[i]), leaseID: it.Lease,
-			deadline: deadlines[i], payload: payload, trace: trace}
-		s.scheduled++
+		s.state.Apply(rec)
+		if trace != "" {
+			s.traces[ids[i]] = trace
+		}
 	}
 	s.mu.Unlock()
 	sp.Mark("append")
@@ -634,15 +628,9 @@ func (s *server) admit(items []scheduleItem, sp *stagetrace.Span) ([]scheduledAc
 	}
 	sp.Mark("commit")
 
-	// Arm. The deadline is re-expressed as a delay; a deadline already
-	// past arms at the minimum (one tick) and fires on the next poll.
 	reqs := make([]timer.Req, len(items))
 	for i := range items {
-		d := time.Duration(deadlines[i] - now.UnixNano())
-		if d < 1 {
-			d = 1
-		}
-		reqs[i] = timer.Req{After: d, Fn: noop, Opt: timer.WithPriority(prios[i]).WithTag(ids[i])}
+		reqs[i] = armReq(ids[i], prios[i], deadlines[i], now.UnixNano())
 	}
 	timers, err := s.fac.ScheduleBatch(reqs)
 	sp.Mark("arm")
@@ -655,38 +643,26 @@ func (s *server) admit(items []scheduleItem, sp *stagetrace.Span) ([]scheduledAc
 		return nil, http.StatusServiceUnavailable, "overloaded", fmt.Errorf("facility refused batch: %w", err)
 	}
 
-	// Publish. A timer whose deadline fell inside the first tick may
-	// already have fired (the journal parked it in earlyHit); settle it
-	// here instead of inserting.
+	// Publish the handles. A timer whose deadline fell inside the first
+	// tick may already have fired and left the State; it gets no handle.
 	acks := make([]scheduledAck, len(items))
 	var orphans []*timer.Timer
-	// One settle timestamp for the whole publish pass: re-sampling the
-	// clock per early hit would stamp timers of the same batch with
-	// different fire times (and different lags) for the same event.
-	pubNow := s.clk.Now().UnixNano()
 	s.mu.Lock()
 	for i, it := range items {
 		id := ids[i]
-		e := s.pending[id]
-		delete(s.pending, id)
-		e.tm = timers[i]
-		if _, early := s.earlyHit[id]; early {
-			delete(s.earlyHit, id)
-			s.entries[id] = e // settleLocked removes it
-			s.settleLocked(id, e, pubNow, false)
-		} else {
-			s.entries[id] = e
-			if it.Lease != 0 && !s.leases.Attach(it.Lease, id) {
-				// The lease died between validation and publish: its GC
-				// already ran and missed this timer, so cancel it here.
-				delete(s.entries, id)
-				s.log.Append(wal.Record{Op: wal.OpCancel, Class: e.class, ID: id, Lease: it.Lease})
-				s.noteUnsyncedLocked(1)
-				s.cancelled++
-				orphans = append(orphans, timers[i])
-			}
-		}
 		acks[i] = scheduledAck{ID: id, DeadlineNS: deadlines[i]}
+		ts, live := s.state.Timers[id]
+		if !live {
+			continue
+		}
+		s.handles[id] = timers[i]
+		if it.Lease != 0 && !s.leases.Attach(it.Lease, id) {
+			// The lease died between validation and publish: its GC
+			// already ran and missed this timer, so cancel it here.
+			tm, _, _ := s.cancelLocked(id, ts)
+			s.noteUnsyncedLocked(1)
+			orphans = append(orphans, tm)
+		}
 	}
 	s.mu.Unlock()
 	s.fac.StopBatch(orphans)
@@ -703,8 +679,20 @@ func (s *server) admit(items []scheduleItem, sp *stagetrace.Span) ([]scheduledAc
 	return acks, 0, "", nil
 }
 
+// armReq re-expresses wall deadline deadlineNS as a delay from nowNS;
+// one already past arms at the minimum (one tick) and fires on the next
+// poll.
+func armReq(id uint64, prio timer.Priority, deadlineNS, nowNS int64) timer.Req {
+	d := time.Duration(deadlineNS - nowNS)
+	if d < 1 {
+		d = 1
+	}
+	return timer.Req{After: d, Fn: noop, Opt: timer.WithPriority(prio).WithTag(id)}
+}
+
 // abortAdmission voids WAL-admitted ids after a downstream failure:
-// each gets a cancel record so replay agrees with the refused ack.
+// each still outstanding gets a cancel record so replay agrees with the
+// refused ack.
 func (s *server) abortAdmission(ids []uint64) {
 	s.mu.Lock()
 	lsn := s.abortAdmissionLocked(ids)
@@ -716,14 +704,14 @@ func (s *server) abortAdmission(ids []uint64) {
 }
 
 // abortAdmissionLocked is abortAdmission under an already-held s.mu; it
-// returns the last cancel's LSN for the caller to commit.
+// returns the last cancel's LSN for the caller to commit. An admission
+// that already fired keeps its fire (the same ambiguity).
 func (s *server) abortAdmissionLocked(ids []uint64) wal.LSN {
 	var lsn wal.LSN
 	for _, id := range ids {
-		delete(s.pending, id)
-		delete(s.earlyHit, id)
-		lsn, _ = s.log.Append(wal.Record{Op: wal.OpCancel, ID: id})
-		s.cancelled++
+		if ts, live := s.state.Timers[id]; live {
+			_, lsn, _ = s.cancelLocked(id, ts)
+		}
 	}
 	return lsn
 }
@@ -736,25 +724,30 @@ func (s *server) handleStop(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	e, ok := s.entries[req.ID]
+	tm, ok := s.handles[req.ID]
 	if !ok {
+		// Unknown, settled, or an admission still in flight.
 		s.mu.Unlock()
 		writeJSON(w, map[string]any{"stopped": false})
 		return
 	}
+	ts := s.state.Timers[req.ID]
+	trace, payload := s.traces[req.ID], s.state.Payloads[req.ID]
 	// Append before touching memory: a refused append then needs no
 	// undo — the timer simply stays armed and the client gets a 503.
-	lsn, werr := s.log.Append(wal.Record{Op: wal.OpCancel, Class: e.class, ID: req.ID, Lease: e.leaseID})
+	rec := wal.Record{Op: wal.OpCancel, Class: ts.Class, ID: req.ID, Lease: ts.Lease}
+	lsn, werr := s.log.Append(rec)
 	if werr != nil {
 		s.mu.Unlock()
 		httpError(w, http.StatusServiceUnavailable, "wal_failed", "wal append: "+werr.Error())
 		return
 	}
-	delete(s.entries, req.ID)
-	if e.leaseID != 0 {
-		s.leases.Detach(e.leaseID, req.ID)
+	s.state.Apply(rec)
+	delete(s.handles, req.ID)
+	delete(s.traces, req.ID)
+	if ts.Lease != 0 {
+		s.leases.Detach(ts.Lease, req.ID)
 	}
-	s.cancelled++
 	s.mu.Unlock()
 	if err := s.log.Commit(lsn); err != nil {
 		// The cancel record's durability is unknown (and the log is now
@@ -762,18 +755,25 @@ func (s *server) handleStop(w http.ResponseWriter, r *http.Request) {
 		// armed in this process, and either replay outcome — cancelled
 		// or re-armed — is permissible for an unacknowledged stop.
 		s.mu.Lock()
-		s.entries[req.ID] = e
-		if e.leaseID != 0 {
-			s.leases.Attach(e.leaseID, req.ID)
+		s.state.Timers[req.ID] = ts
+		if payload != nil {
+			s.state.Payloads[req.ID] = payload
 		}
-		s.cancelled--
+		s.state.Cancelled--
+		s.handles[req.ID] = tm
+		if trace != "" {
+			s.traces[req.ID] = trace
+		}
+		if ts.Lease != 0 {
+			s.leases.Attach(ts.Lease, req.ID)
+		}
 		s.mu.Unlock()
 		httpError(w, http.StatusServiceUnavailable, "wal_failed", "wal commit: "+err.Error())
 		return
 	}
 	// The WAL cancel wins even if the fire won the facility race: the
-	// journal finds the entry gone and logs nothing.
-	stopped := e.tm.Stop()
+	// journal finds the timer gone and logs nothing.
+	stopped := tm.Stop()
 	s.maybeCompact()
 	writeJSON(w, map[string]any{"stopped": stopped})
 }
@@ -794,32 +794,29 @@ func (s *server) handleReset(w http.ResponseWriter, r *http.Request) {
 	}
 	now := s.clk.Now()
 	rr := make([]timer.ResetReq, 0, len(req.Resets))
-	// undo records each entry's pre-reset deadline so a WAL failure can
-	// roll the in-memory view back to what replay will reconstruct.
-	type undo struct {
-		e   *entry
-		was int64
-	}
-	undos := make([]undo, 0, len(req.Resets))
+	// undos hold a reset back to each timer's old deadline, so a WAL
+	// failure can roll the State back to what replay will reconstruct;
+	// applied newest first under s.mu, they leave settled timers alone.
+	undos := make([]wal.Record, 0, len(req.Resets))
 	revert := func() {
-		for _, u := range undos {
-			u.e.deadline = u.was
+		for i := len(undos) - 1; i >= 0; i-- {
+			s.state.Apply(undos[i])
 		}
 	}
-	matched := 0
 	s.mu.Lock()
 	var lsn wal.LSN
 	for _, q := range req.Resets {
 		if q.AfterMS <= 0 {
 			continue
 		}
-		e, ok := s.entries[q.ID]
+		tm, ok := s.handles[q.ID]
 		if !ok {
 			continue
 		}
+		ts := s.state.Timers[q.ID]
 		after := time.Duration(q.AfterMS) * time.Millisecond
-		deadline := now.Add(after).UnixNano()
-		l, werr := s.log.Append(wal.Record{Op: wal.OpReset, Class: e.class, ID: q.ID, Lease: e.leaseID, Deadline: deadline})
+		rec := wal.Record{Op: wal.OpReset, Class: ts.Class, ID: q.ID, Lease: ts.Lease, Deadline: now.Add(after).UnixNano()}
+		l, werr := s.log.Append(rec)
 		if werr != nil {
 			revert()
 			s.mu.Unlock()
@@ -827,12 +824,12 @@ func (s *server) handleReset(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		lsn = l
-		undos = append(undos, undo{e: e, was: e.deadline})
-		e.deadline = deadline
-		matched++
-		rr = append(rr, timer.ResetReq{T: e.tm, After: after})
+		undos = append(undos, wal.Record{Op: wal.OpReset, ID: q.ID, Deadline: ts.Deadline})
+		s.state.Apply(rec)
+		rr = append(rr, timer.ResetReq{T: tm, After: after})
 	}
 	s.mu.Unlock()
+	matched := len(rr)
 	if matched > 0 {
 		if err := s.log.Commit(lsn); err != nil {
 			// No reset reached the facility yet; restoring the recorded
@@ -862,11 +859,20 @@ func (s *server) handleLeaseGrant(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "unavailable", err.Error())
 		return
 	}
+	rec := wal.Record{Op: wal.OpLeaseGrant, ID: id, Deadline: expiry.UnixNano()}
 	s.mu.Lock()
-	lsn, werr := s.log.Append(wal.Record{Op: wal.OpLeaseGrant, ID: id, Deadline: expiry.UnixNano()})
+	lsn, werr := s.log.Append(rec)
+	if werr == nil {
+		s.state.Apply(rec)
+	}
 	s.mu.Unlock()
 	if werr == nil {
-		werr = s.log.Commit(lsn)
+		if werr = s.log.Commit(lsn); werr != nil {
+			s.mu.Lock()
+			delete(s.state.Leases, id)
+			s.state.LeasesGranted--
+			s.mu.Unlock()
+		}
 	}
 	if werr != nil {
 		// An unacked grant must not live on in memory: if the record did
@@ -897,8 +903,12 @@ func (s *server) handleLeaseRenew(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "lease_not_alive", "lease not alive")
 		return
 	}
+	rec := wal.Record{Op: wal.OpLeaseRenew, ID: req.Lease, Deadline: expiry.UnixNano()}
 	s.mu.Lock()
-	lsn, werr := s.log.Append(wal.Record{Op: wal.OpLeaseRenew, ID: req.Lease, Deadline: expiry.UnixNano()})
+	lsn, werr := s.log.Append(rec)
+	if werr == nil {
+		s.state.Apply(rec)
+	}
 	s.mu.Unlock()
 	if werr == nil {
 		werr = s.log.Commit(lsn)
@@ -910,6 +920,11 @@ func (s *server) handleLeaseRenew(w http.ResponseWriter, r *http.Request) {
 		// renewal already moved it) so memory never promises more than
 		// the log, and let the client retry against the 503.
 		s.leases.RevertExpiry(req.Lease, expiry, oldExpiry)
+		s.mu.Lock()
+		if ls, live := s.state.Leases[req.Lease]; live && ls.Expiry == expiry.UnixNano() {
+			s.state.Leases[req.Lease] = wal.LeaseState{Expiry: oldExpiry.UnixNano()}
+		}
+		s.mu.Unlock()
 		httpError(w, http.StatusServiceUnavailable, "wal_failed", werr.Error())
 		return
 	}
@@ -1048,8 +1063,9 @@ func (s *server) firedSinceLocked(since uint64) []firedEvent {
 }
 
 // handleTimers lists the outstanding set — the daemon's answer to
-// "what would replay if you crashed right now". Intended for
-// inspection and tests, not high-frequency polling.
+// "what would replay if you crashed right now": every timer in the
+// State, committed admissions whose arm is still in flight included.
+// Intended for inspection and tests, not high-frequency polling.
 func (s *server) handleTimers(w http.ResponseWriter, r *http.Request) {
 	type timerView struct {
 		ID         uint64 `json:"id"`
@@ -1058,11 +1074,11 @@ func (s *server) handleTimers(w http.ResponseWriter, r *http.Request) {
 		Lease      uint64 `json:"lease,omitempty"`
 	}
 	s.mu.Lock()
-	out := make([]timerView, 0, len(s.entries))
-	for id, e := range s.entries {
+	out := make([]timerView, 0, len(s.state.Timers))
+	for id, ts := range s.state.Timers {
 		out = append(out, timerView{
-			ID: id, DeadlineNS: e.deadline,
-			Class: timer.Priority(e.class).String(), Lease: e.leaseID,
+			ID: id, DeadlineNS: ts.Deadline,
+			Class: timer.Priority(ts.Class).String(), Lease: ts.Lease,
 		})
 	}
 	s.mu.Unlock()
@@ -1076,10 +1092,10 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"status":          "ok",
 		"role":            s.currentRole().String(),
 		"term":            s.currentTerm(),
-		"outstanding":     len(s.entries) + len(s.pending),
-		"scheduled_total": s.scheduled,
-		"fired_total":     s.firedN,
-		"cancelled_total": s.cancelled,
+		"outstanding":     len(s.state.Timers),
+		"scheduled_total": s.state.Scheduled,
+		"fired_total":     s.state.Fired,
+		"cancelled_total": s.state.Cancelled,
 		"shed_total":      s.shed,
 	}
 	s.mu.Unlock()
@@ -1111,15 +1127,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			rep["last_contact_ms_ago"] = time.Since(rs.LastContact).Milliseconds()
 		}
 		body["replication"] = rep
-		s.repMu.Lock()
-		st := s.repState
-		body["replicated"] = map[string]any{
-			"outstanding": st.Outstanding(),
-			"scheduled":   st.Scheduled,
-			"fired":       st.Fired,
-			"cancelled":   st.Cancelled,
-		}
-		s.repMu.Unlock()
 	}
 	if ws.Failed {
 		// The log hit an unrecoverable I/O error: every acked path is
@@ -1132,8 +1139,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"log_records":      rec.LogRecords,
 		"torn":             rec.Torn,
 		"torn_bytes":       rec.TornBytes,
-		"sealed":           rec.State.Sealed,
-		"timers":           rec.State.Scheduled - rec.State.Fired - rec.State.Cancelled,
+		"sealed":           rec.Sealed,
+		"timers":           rec.Outstanding,
+		"leases":           rec.Leases,
 	}
 	writeJSON(w, body)
 }
@@ -1162,9 +1170,9 @@ func (s *server) extraMetrics() []telemetry.Metric {
 		{Name: "leases_renewed_total", Help: "Lease renewals.", Value: leaseStat(func(l lease.Stats) float64 { return float64(l.Renewed) })},
 		{Name: "leases_expired_total", Help: "Leases expired for missed heartbeats.", Value: leaseStat(func(l lease.Stats) float64 { return float64(l.Expired) })},
 		{Name: "leases_released_total", Help: "Leases released by their clients.", Value: leaseStat(func(l lease.Stats) float64 { return float64(l.Released) })},
-		{Name: "twd_scheduled_total", Help: "Timers durably admitted.", Value: srvStat(func(s *server) float64 { return float64(s.scheduled) })},
-		{Name: "twd_fired_total", Help: "Timers delivered.", Value: srvStat(func(s *server) float64 { return float64(s.firedN) })},
-		{Name: "twd_cancelled_total", Help: "Timers cancelled.", Value: srvStat(func(s *server) float64 { return float64(s.cancelled) })},
+		{Name: "twd_scheduled_total", Help: "Timers durably admitted.", Value: srvStat(func(s *server) float64 { return float64(s.state.Scheduled) })},
+		{Name: "twd_fired_total", Help: "Timers delivered.", Value: srvStat(func(s *server) float64 { return float64(s.state.Fired) })},
+		{Name: "twd_cancelled_total", Help: "Timers cancelled.", Value: srvStat(func(s *server) float64 { return float64(s.state.Cancelled) })},
 		{Name: "twd_role", Help: "Replication role (0 primary, 1 standby, 2 fenced).", Gauge: true, Value: func() float64 { return float64(s.roleNow.Load()) }},
 		{Name: "twd_term", Help: "Fencing term.", Gauge: true, Value: func() float64 { return float64(s.currentTerm()) }},
 		{Name: "wal_durable_bytes", Help: "Durable prefix of the active WAL segment (what replication serves).", Gauge: true, Value: walStat(func(w wal.Stats) float64 { return float64(w.DurableBytes) })},
@@ -1199,40 +1207,23 @@ func (s *server) maybeCompact() {
 	}()
 }
 
-// compact rewrites the WAL as a snapshot of the live state. Holding
+// compact rewrites the WAL as a snapshot of the live State. Holding
 // s.mu for the duration pins the record set: no append can land in the
-// old segment after the set is built, so rotation loses nothing. The
-// seed folds in s.pending — timers whose OpSchedule is committed but
-// whose arm/publish is still in flight are acked state, and rotating
-// them away would lose them on the next crash — plus a high-water pin
-// so a restart never re-issues a settled timer's ID.
+// old segment after the seed is built, so rotation loses nothing. An
+// admission is in the State from its append on, so one whose arm is
+// still in flight is seeded like any other; the seed's high-water pin
+// covers the allocator, so a restart never re-issues a settled
+// timer's ID.
 func (s *server) compact() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	recs := make([]wal.Record, 0, len(s.entries)+len(s.pending)+8)
-	recs = append(recs, wal.Record{Op: wal.OpHighWater, ID: s.nextID.Load()})
-	for id, e := range s.entries {
-		recs = append(recs, wal.Record{
-			Op: wal.OpSchedule, Class: e.class, ID: id, Lease: e.leaseID,
-			Deadline: e.deadline, Payload: e.payload,
-		})
-	}
-	for id, e := range s.pending {
-		recs = append(recs, wal.Record{
-			Op: wal.OpSchedule, Class: e.class, ID: id, Lease: e.leaseID,
-			Deadline: e.deadline, Payload: e.payload,
-		})
-	}
-	for _, le := range s.leases.Snapshot() {
-		recs = append(recs, wal.Record{Op: wal.OpLeaseGrant, ID: le.ID, Deadline: le.Expiry.UnixNano()})
-	}
-	if err := s.log.Snapshot(recs); err != nil {
+	if err := s.log.Snapshot(s.state.Seed(s.nextID.Load())); err != nil {
 		// A failed snapshot rolled back to the old epoch (still
 		// authoritative) or, if even the rollback failed, poisoned the
 		// log — every later acked path then 503s. Either way the operator
 		// must hear about it; durable state is never silently wrong.
 		s.logger.Error("wal snapshot failed", "err", err, "term", s.currentTerm(),
-			"outstanding", len(s.entries)+len(s.pending))
+			"outstanding", len(s.state.Timers))
 	}
 }
 
@@ -1261,7 +1252,9 @@ func (s *server) shutdown(drainCtx context.Context) {
 	close(s.syncStop)
 	<-s.syncDone
 	s.mu.Lock()
-	s.log.Append(wal.Record{Op: wal.OpSeal})
+	if _, err := s.log.Append(wal.Record{Op: wal.OpSeal}); err == nil {
+		s.state.Apply(wal.Record{Op: wal.OpSeal})
+	}
 	s.mu.Unlock()
 	s.log.Sync()
 	s.log.Close()

@@ -368,7 +368,7 @@ func TestGracefulRestartReplaysOutstanding(t *testing.T) {
 		srv2.shutdown(ctx)
 	})
 
-	if !f2.srv.recovered.State.Sealed {
+	if !f2.srv.recovered.Sealed {
 		t.Error("recovered log not sealed after graceful shutdown")
 	}
 	if f2.srv.recovered.Torn {
@@ -454,25 +454,30 @@ func TestCompactionPreservesState(t *testing.T) {
 		srv2.shutdown(ctx)
 	}()
 	srv2.mu.Lock()
-	got := len(srv2.entries)
+	got, armed := len(srv2.state.Timers), len(srv2.handles)
 	for _, id := range keep {
-		if _, ok := srv2.entries[id]; !ok {
+		if _, ok := srv2.state.Timers[id]; !ok {
 			srv2.mu.Unlock()
 			t.Fatalf("timer %d lost across compaction+restart", id)
 		}
+		if _, ok := srv2.handles[id]; !ok {
+			srv2.mu.Unlock()
+			t.Fatalf("timer %d recovered but not re-armed", id)
+		}
 	}
 	srv2.mu.Unlock()
-	if got != len(keep) {
-		t.Fatalf("recovered %d timers, want %d", got, len(keep))
+	if got != len(keep) || armed != len(keep) {
+		t.Fatalf("recovered %d timers (%d armed), want %d", got, armed, len(keep))
 	}
 }
 
 // TestCompactIncludesPendingAdmissions pins the snapshot protocol
 // against the admit/compact race: a timer whose OpSchedule is already
-// WAL-committed but whose arm/publish has not run yet lives only in
-// s.pending, and a compaction that rotates the old segment away must
-// fold it into the seed — otherwise the acked timer is silently gone
-// from durable state.
+// WAL-committed but whose arm/publish has not run yet is in the State
+// without a handle. It is outstanding — /healthz counts it, /v1/timers
+// lists it, a stop answers it as unknown — and a compaction that
+// rotates the old segment away must seed it, or the acked timer is
+// silently gone from durable state.
 func TestCompactIncludesPendingAdmissions(t *testing.T) {
 	dir := t.TempDir()
 	f := newFixture(t, func(c *config) { c.dir = dir })
@@ -486,15 +491,36 @@ func TestCompactIncludesPendingAdmissions(t *testing.T) {
 	deadline := time.Now().Add(time.Minute).UnixNano()
 	srv.mu.Lock()
 	inflight := srv.nextID.Add(1)
-	_, werr := srv.log.Append(wal.Record{Op: wal.OpSchedule, ID: inflight, Deadline: deadline, Payload: []byte("inflight")})
-	srv.pending[inflight] = &entry{deadline: deadline, payload: []byte("inflight")}
-	srv.scheduled++
+	rec := wal.Record{Op: wal.OpSchedule, ID: inflight, Deadline: deadline, Payload: []byte("inflight")}
+	_, werr := srv.log.Append(rec)
+	srv.state.Apply(rec)
 	srv.mu.Unlock()
 	if werr != nil {
 		t.Fatalf("append: %v", werr)
 	}
 	if err := srv.log.Sync(); err != nil {
 		t.Fatalf("sync: %v", err)
+	}
+
+	if h := f.checkLedger(); h.Outstanding != 2 {
+		t.Fatalf("outstanding=%d, want 2 (published + in flight)", h.Outstanding)
+	}
+	var tl struct {
+		Timers []struct {
+			ID         uint64 `json:"id"`
+			DeadlineNS int64  `json:"deadline_unix_ns"`
+		} `json:"timers"`
+	}
+	f.get("/v1/timers", &tl)
+	if len(tl.Timers) != 2 || tl.Timers[0].ID != ack.ID || tl.Timers[1].ID != inflight || tl.Timers[1].DeadlineNS != deadline {
+		t.Fatalf("/v1/timers = %+v, want the published %d and the in-flight %d", tl.Timers, ack.ID, inflight)
+	}
+	var stop struct {
+		Stopped bool `json:"stopped"`
+	}
+	f.post("/v1/stop", map[string]any{"id": inflight}, &stop, 200)
+	if stop.Stopped {
+		t.Fatal("stop of an in-flight admission reported stopped")
 	}
 
 	srv.compact()
@@ -507,19 +533,19 @@ func TestCompactIncludesPendingAdmissions(t *testing.T) {
 	srv.shutdown(ctx)
 	cancel()
 
-	l, rec, err := wal.Open(dir, wal.Options{})
+	l, recov, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatalf("reopen wal: %v", err)
 	}
 	defer l.Close()
-	if _, ok := rec.State.Timers[inflight]; !ok {
+	if _, ok := recov.State.Timers[inflight]; !ok || string(recov.State.Payloads[inflight]) != "inflight" {
 		t.Fatalf("in-flight admission %d lost across compaction", inflight)
 	}
-	if ts, ok := rec.State.Timers[ack.ID]; !ok || string(ts.Payload) != "published" {
+	if _, ok := recov.State.Timers[ack.ID]; !ok || string(recov.State.Payloads[ack.ID]) != "published" {
 		t.Fatalf("published timer %d lost across compaction", ack.ID)
 	}
-	if rec.State.NextID < inflight {
-		t.Fatalf("NextID=%d, want >= %d", rec.State.NextID, inflight)
+	if recov.State.NextID < inflight {
+		t.Fatalf("NextID=%d, want >= %d", recov.State.NextID, inflight)
 	}
 }
 
@@ -957,18 +983,20 @@ func TestSyncEveryBoundsFireRecords(t *testing.T) {
 
 // BenchmarkSettleFullRing prices settling one fired timer once the fired
 // ring is full, so every settle overwrites its oldest slot: WAL append,
-// stage timeline, ring write.
+// State apply, stage timeline, ring write.
 func BenchmarkSettleFullRing(b *testing.B) {
 	s, err := newServer(config{dir: b.TempDir(), syncEvery: 64})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.shutdown(context.Background())
-	e := &entry{deadline: time.Now().UnixNano(), payload: []byte("settle-payload")}
+	ts := wal.TimerState{Deadline: time.Now().UnixNano()}
+	payload := []byte("settle-payload")
 	settle := func(id uint64) {
 		s.mu.Lock()
-		s.entries[id] = e
-		s.settleLocked(id, e, time.Now().UnixNano(), false)
+		s.state.Timers[id] = ts
+		s.state.Payloads[id] = payload
+		s.settleLocked(id, ts, time.Now().UnixNano(), false)
 		s.mu.Unlock()
 	}
 	for id := uint64(1); id <= firedRingMax; id++ {

@@ -327,26 +327,6 @@ func (tb *Table) Stats() Stats {
 	}
 }
 
-// Snapshot returns every live lease as (id, expiry, owned timers) — the
-// records the daemon folds into a WAL snapshot.
-func (tb *Table) Snapshot() []SnapshotEntry {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	out := make([]SnapshotEntry, 0, len(tb.leases))
-	for id, l := range tb.leases {
-		out = append(out, SnapshotEntry{ID: id, Expiry: l.expiry, Timers: sortedIDs(l.timers)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// SnapshotEntry is one live lease in a Snapshot.
-type SnapshotEntry struct {
-	ID     uint64
-	Expiry time.Time
-	Timers []uint64
-}
-
 // Close stops the table: watchdogs that fire afterwards no-op, and
 // every mutating call fails. It does not expire anything — shutdown is
 // not client death.

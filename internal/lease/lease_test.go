@@ -195,13 +195,12 @@ func TestRestoreFutureExpiryLives(t *testing.T) {
 	if fx.fires.Load() != 0 {
 		t.Fatal("restored lease expired early")
 	}
-	snap := fx.tb.Snapshot()
-	if len(snap) != 1 || snap[0].ID != 5 || len(snap[0].Timers) != 1 {
-		t.Fatalf("snapshot: %+v", snap)
+	if _, live := fx.tb.Expiry(5); !live {
+		t.Fatal("restored lease not live")
 	}
 	fx.step(40 * time.Millisecond)
-	if _, ok := fx.expiredTimers(5); !ok {
-		t.Fatal("restored lease never expired")
+	if ts, ok := fx.expiredTimers(5); !ok || len(ts) != 1 || ts[0] != 9 {
+		t.Fatalf("restored lease expiry: fired=%v timers=%v, want [9]", ok, ts)
 	}
 }
 

@@ -75,9 +75,10 @@ type FollowerConfig struct {
 	Dir string
 	// Journal is the follower's local WAL.
 	Journal Journal
-	// State is the replayed state shared with the daemon (it reads it at
-	// promotion). Apply calls happen with no lock — the daemon must not
-	// read it until the follower is stopped or drained.
+	// State is the replayed state shared with the daemon, which reads it
+	// under ApplyLock and arms from it at promotion. Without ApplyLock
+	// the daemon must not read it until the follower is stopped or
+	// drained.
 	State *wal.State
 	// Client is the HTTP client; nil means a 10s-timeout default.
 	Client *http.Client
@@ -108,8 +109,8 @@ type Follower struct {
 	mu     sync.Mutex
 	status Status
 
-	dec      wal.FrameDecoder
-	seeded   bool
+	dec          wal.FrameDecoder
+	seeded       bool
 	sincePersist int // frames applied since the cursor was last persisted
 }
 

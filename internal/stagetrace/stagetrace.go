@@ -333,12 +333,10 @@ func (r *Recorder) Amend(seq uint64, name string, ns int64) bool {
 		tl.Add(name, ns)
 		found = true
 	}
-	for i := range r.slow {
-		if r.slow[i].Seq == seq {
-			kind = r.slow[i].Kind
-			r.slow[i].Add(name, ns)
-			found = true
-		}
+	if tl := r.slowLocked(seq); tl != nil {
+		kind = tl.Kind
+		tl.Add(name, ns)
+		found = true
 	}
 	r.mu.Unlock()
 	if kind == "" {
@@ -346,6 +344,33 @@ func (r *Recorder) Amend(seq uint64, name string, ns int64) bool {
 	}
 	r.hist(kind, name).Record(ns)
 	return found
+}
+
+// slowLocked finds seq's exemplar in the slow ring, or nil. The ring
+// holds writes (nSlow-len, nSlow], and seqs rise with the write count,
+// so a binary search over the writes finds the slot. Caller holds r.mu.
+func (r *Recorder) slowLocked(seq uint64) *Timeline {
+	capacity := uint64(len(r.slow))
+	lo := uint64(1) // oldest resident write
+	if r.nSlow > capacity {
+		lo = r.nSlow - capacity + 1
+	}
+	hi := r.nSlow + 1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if r.slow[mid%capacity].Seq < seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo > r.nSlow {
+		return nil
+	}
+	if tl := &r.slow[lo%capacity]; tl.Seq == seq {
+		return tl
+	}
+	return nil
 }
 
 // snapshot copies both rings oldest-first, recent then slow (entries can

@@ -184,6 +184,48 @@ func TestAmendAppendsLateStage(t *testing.T) {
 	}
 }
 
+// TestAmendSlowRingWrapped amends exemplars once the slow ring has
+// wrapped and the recent ring no longer holds them: a resident slow
+// exemplar is found and amended in place, an evicted one is not, and
+// neither is a fast timeline that never entered the slow ring.
+func TestAmendSlowRingWrapped(t *testing.T) {
+	r := NewRecorder(Config{Recent: 2, Slow: 4, SlowThreshold: 100})
+	var slowSeqs, fastSeqs []uint64
+	for i := 0; i < 20; i++ {
+		var tl Timeline
+		tl.Kind = "fire"
+		if i%3 == 0 {
+			tl.Add("fire", 10) // under threshold: recent ring only
+			fastSeqs = append(fastSeqs, r.Record(tl))
+			continue
+		}
+		tl.Add("fire", 500)
+		slowSeqs = append(slowSeqs, r.Record(tl))
+	}
+	// 13 slow timelines through a 4-slot ring; the recent ring holds
+	// only the last two records, so the first of the last four slow
+	// ones lives in the slow ring alone.
+	resident := slowSeqs[len(slowSeqs)-4]
+	if !r.Amend(resident, "push", 7) {
+		t.Fatalf("Amend(%d) missed an exemplar resident in the wrapped slow ring", resident)
+	}
+	var amended bool
+	for _, tl := range r.snapshot() {
+		if tl.Seq == resident && tl.NStages == 2 && tl.Stages[1].Name == "push" && tl.TotalNS == 507 {
+			amended = true
+		}
+	}
+	if !amended {
+		t.Fatalf("slow exemplar %d not amended in place", resident)
+	}
+	if evicted := slowSeqs[len(slowSeqs)-5]; r.Amend(evicted, "push", 7) {
+		t.Fatalf("Amend(%d) found an exemplar the slow ring evicted", evicted)
+	}
+	if fast := fastSeqs[2]; r.Amend(fast, "push", 7) {
+		t.Fatalf("Amend(%d) found a fast timeline the recent ring evicted", fast)
+	}
+}
+
 func TestAddClampsAndOverflows(t *testing.T) {
 	var tl Timeline
 	tl.Kind = "fire"

@@ -82,15 +82,22 @@ func (o *oracle) diff(s *State) string {
 	if len(s.Timers) != len(o.timers) {
 		return "outstanding timer count"
 	}
+	payloads := 0
 	for id, want := range o.timers {
 		got, ok := s.Timers[id]
 		if !ok {
 			return "missing timer"
 		}
 		if got.Deadline != want.Deadline || got.Class != want.Class ||
-			got.Lease != want.Lease || !bytes.Equal(got.Payload, want.Payload) {
+			got.Lease != want.Lease || !bytes.Equal(s.Payloads[id], want.Payload) {
 			return "timer fields"
 		}
+		if len(want.Payload) > 0 {
+			payloads++
+		}
+	}
+	if len(s.Payloads) != payloads {
+		return "payload count"
 	}
 	if len(s.Leases) != len(o.leases) {
 		return "live lease count"

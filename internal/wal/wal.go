@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -85,7 +86,7 @@ type Log struct {
 	buf         []byte
 	lsn         LSN
 	durable     LSN
-	segBase     LSN   // LSN of the last record not in the active segment
+	segBase     LSN // LSN of the last record not in the active segment
 	syncing     bool
 	closed      bool
 	failed      bool // unrecoverable I/O error; every mutation returns ErrFailed
@@ -103,8 +104,13 @@ type Log struct {
 // RecoverResult reports what Open reconstructed from disk.
 type RecoverResult struct {
 	// State is the replayed state: the exact outstanding timer and
-	// lease sets as of the last valid frame.
+	// lease sets as of the last valid frame. twd keeps applying to it,
+	// so it is live after Open returns; the scalars below are not.
 	State *State
+	// Outstanding, Leases and Sealed are State's timer count, lease
+	// count and seal flag as recovered, fixed at Open.
+	Outstanding, Leases int
+	Sealed              bool
 	// Epoch is the recovered (now active) epoch.
 	Epoch uint64
 	// SnapshotRecords and LogRecords count frames replayed from the
@@ -119,7 +125,8 @@ type RecoverResult struct {
 
 // Open opens (creating if needed) the log in dir, replays snapshot +
 // segment into a RecoverResult, truncates any torn tail, and leaves the
-// log positioned for appending.
+// log positioned for appending. Frames are applied as they decode; no
+// record list is built.
 func Open(dir string, opt Options) (*Log, *RecoverResult, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
@@ -131,26 +138,28 @@ func Open(dir string, opt Options) (*Log, *RecoverResult, error) {
 	res := &RecoverResult{State: NewState(), Epoch: epoch}
 
 	if epoch > 0 {
-		snapRecs, _, snapTorn, err := readSegment(snapPath(dir, epoch))
+		snap, err := os.ReadFile(snapPath(dir, epoch))
 		if err != nil && !os.IsNotExist(err) {
 			return nil, nil, err
 		}
-		for _, r := range snapRecs {
-			res.State.Apply(r)
-		}
-		res.SnapshotRecords = uint64(len(snapRecs))
-		res.Torn = res.Torn || snapTorn
+		// Size the timer table once for the snapshot's outstanding set
+		// instead of growing it through every doubling.
+		res.State.Timers = make(map[uint64]TimerState, countOp(snap, OpSchedule))
+		n, _, snapTorn := applyFrames(snap, res.State)
+		res.SnapshotRecords = n
+		res.Torn = snapTorn
 	}
 
 	logFile := walPath(dir, epoch)
-	recs, validLen, torn, err := readSegment(logFile)
+	seg, err := os.ReadFile(logFile)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, err
 	}
-	for _, r := range recs {
-		res.State.Apply(r)
-	}
-	res.LogRecords = uint64(len(recs))
+	nrec, validLen, torn := applyFrames(seg, res.State)
+	res.LogRecords = nrec
+	res.Outstanding = len(res.State.Timers)
+	res.Leases = len(res.State.Leases)
+	res.Sealed = res.State.Sealed
 
 	f, err := os.OpenFile(logFile, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -184,8 +193,8 @@ func Open(dir string, opt Options) (*Log, *RecoverResult, error) {
 		epoch:       epoch,
 		size:        validLen,
 		durableSize: validLen,
-		lsn:         LSN(len(recs)),
-		durable:     LSN(len(recs)), // everything replayed is on disk by definition
+		lsn:         nrec,
+		durable:     nrec, // everything replayed is on disk by definition
 	}
 	l.cond = sync.NewCond(&l.mu)
 	// A crash between a snapshot's rename and its old-epoch deletion
@@ -544,25 +553,39 @@ func activeEpoch(dir string) (uint64, error) {
 	return epochs[len(epochs)-1], nil
 }
 
-// readSegment replays one framed file: the decoded records of the valid
-// prefix, the prefix's byte length, and whether trailing bytes had to
-// be discarded (torn reports only a dirty tail; a missing file is
-// returned as the os.IsNotExist error with zero records).
-func readSegment(path string) (recs []Record, validLen int64, torn bool, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, false, err
-	}
+// applyFrames applies the valid frame prefix of one framed file to st,
+// returning the number of frames applied, the prefix's byte length, and
+// whether trailing bytes had to be discarded (a torn or corrupt tail).
+func applyFrames(data []byte, st *State) (n uint64, validLen int64, torn bool) {
 	off := 0
 	for off < len(data) {
-		rec, n, ok := decodeFrame(data[off:])
+		rec, size, ok := decodeFrame(data[off:])
 		if !ok {
-			return recs, int64(off), true, nil
+			return n, int64(off), true
 		}
-		recs = append(recs, rec)
-		off += n
+		st.Apply(rec)
+		n++
+		off += size
 	}
-	return recs, int64(off), false, nil
+	return n, int64(off), false
+}
+
+// countOp counts the frames of op in data by following the length
+// prefixes, without checksumming: a sizing hint, exact for an intact
+// file and stopping at the first insane length.
+func countOp(data []byte, op Op) int {
+	n := 0
+	for len(data) >= frameHeaderSize+recordHeaderSize {
+		bodyLen := int(binary.LittleEndian.Uint32(data))
+		if bodyLen < recordHeaderSize || bodyLen > len(data)-frameHeaderSize {
+			break
+		}
+		if Op(data[frameHeaderSize]) == op {
+			n++
+		}
+		data = data[frameHeaderSize+bodyLen:]
+	}
+	return n
 }
 
 // syncDir fsyncs a directory so renames and creates within it are

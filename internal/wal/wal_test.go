@@ -58,7 +58,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 		t.Fatalf("outstanding = %d, want 1", st.Outstanding())
 	}
 	tm, ok := st.Timers[3]
-	if !ok || tm.Deadline != 3500 || tm.Lease != 7 || string(tm.Payload) != "ccc" {
+	if !ok || tm.Deadline != 3500 || tm.Lease != 7 || string(st.Payloads[3]) != "ccc" {
 		t.Fatalf("timer 3 = %+v, ok=%v", tm, ok)
 	}
 	ls, ok := st.Leases[7]
