@@ -50,11 +50,14 @@ sim:
 	$(GO) run ./cmd/twfleet -conns 100000 -shards 2 -hours 4
 
 # Service benchmark smoke: svcbench is a module of its own, so the root
-# `go vet ./...` never reaches it. The short fire-storm run drives a
-# real twd and exits non-zero on any exactly-once oracle violation.
+# `go vet ./...` never reaches it. Short runs of both gated workloads
+# drive a real twd and exit non-zero on any oracle violation: fire-storm
+# checks every acked timer fires exactly once; admit also checks that
+# stopped timers never fire, leases renew, and the ledger closes.
 svcsmoke:
 	cd svcbench && $(GO) vet ./...
 	bash svcbench/run.sh --workload fire-storm --seed 1 --seconds 5 --trace 0
+	bash svcbench/run.sh --workload admit --seed 1 --seconds 5 --trace 0
 
 short:
 	$(GO) test -short ./...

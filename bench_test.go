@@ -780,20 +780,25 @@ func BenchmarkRuntimeIngress(b *testing.B) {
 
 // BenchmarkWALAppend prices the durable timer daemon's write path: one
 // timer admission is one framed record appended to the write-ahead log
-// under each sync policy. "every1" is the fully durable worst case (an
-// fsync per record), "every64" is the daemon's default group commit,
-// "interval" trades a bounded durability window for append-rate, and
-// "nosync" isolates the framing+CRC cost with the disk out of the
-// picture. The every64/every1 ratio is the group-commit win.
+// under each sync policy, reported per record. "every1" is the fully
+// durable worst case (a write and an fsync per record), "every64" is
+// the daemon's default group commit, "interval" trades a bounded
+// durability window for append-rate, and "batch40" is a schedule-batch
+// of 40 admissions: 40 appends then one Commit, so one write(2) and one
+// fsync. "nosync" isolates framing+CRC into the log's buffer, with the
+// write(2) and the disk out of the picture (it flushes only when the
+// buffer fills). The every64/every1 ratio is the group-commit win.
 func BenchmarkWALAppend(b *testing.B) {
 	policies := []struct {
-		name string
-		opts wal.Options
+		name   string
+		opts   wal.Options
+		commit int // Commit after this many appends; 0 leaves syncs to opts
 	}{
-		{"nosync", wal.Options{}},
-		{"every1", wal.Options{SyncEvery: 1}},
-		{"every64", wal.Options{SyncEvery: 64}},
-		{"interval2ms", wal.Options{SyncInterval: 2 * time.Millisecond}},
+		{"nosync", wal.Options{}, 0},
+		{"every1", wal.Options{SyncEvery: 1}, 0},
+		{"every64", wal.Options{SyncEvery: 64}, 0},
+		{"interval2ms", wal.Options{SyncInterval: 2 * time.Millisecond}, 0},
+		{"batch40", wal.Options{}, 40},
 	}
 	payload := make([]byte, 64)
 	for _, p := range policies {
@@ -807,8 +812,14 @@ func BenchmarkWALAppend(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rec.ID = uint64(i + 1)
-				if _, err := log.Append(rec); err != nil {
+				lsn, err := log.Append(rec)
+				if err != nil {
 					b.Fatal(err)
+				}
+				if p.commit > 0 && (i+1)%p.commit == 0 {
+					if err := log.Commit(lsn); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 			b.StopTimer()

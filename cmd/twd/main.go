@@ -66,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		shards       = fs.Int("shards", 1, "timer facility shards")
 		granularity  = fs.Duration("granularity", 10*time.Millisecond, "tick granularity")
 		syncEvery    = fs.Int("sync-every", 64, "fsync after this many unsynced records (0 disables)")
-		syncInterval = fs.Duration("sync-interval", 5*time.Millisecond, "background fsync cadence (0 disables)")
+		syncInterval = fs.Duration("sync-interval", 5*time.Millisecond, "fsync a record nobody commits within this long of its append (0 disables)")
 		snapBytes    = fs.Int64("snapshot-bytes", 8<<20, "segment size that triggers compaction (0 disables)")
 		defaultTTL   = fs.Duration("lease-ttl", 30*time.Second, "default lease TTL")
 		drainWait    = fs.Duration("drain-timeout", 5*time.Second, "graceful shutdown budget")

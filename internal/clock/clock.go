@@ -79,9 +79,13 @@ func (w *Wall) TimeOf(tick int64) time.Time {
 // by small factors.
 const MaxTicks = int64(1) << 61
 
-// TicksFor converts a duration to a tick count, rounding up so a timer
-// never fires early (a request of 1ns with 1ms granularity waits one full
-// tick). The result is at least 1 and at most MaxTicks. The round-up is
+// TicksFor converts a duration to a tick count, rounding up (a request of
+// 1ns with 1ms granularity waits one full tick). The count runs from the
+// start of the current tick, not from the instant of the request, so a
+// timer armed part-way through a tick fires up to one granularity before
+// now+d; rounding up keeps it from firing more than that early, at the
+// cost of up to one granularity late on an on-time driver. The result
+// is at least 1 and at most MaxTicks. The round-up is
 // computed by division rather than as (d + granularity - 1) / granularity:
 // the addition wraps negative for d near math.MaxInt64, which made a
 // ~292-year timer fire on the next tick.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"timingwheels/clock"
 	"timingwheels/timer"
 )
 
@@ -253,52 +254,75 @@ func TestTTLClamping(t *testing.T) {
 	}
 }
 
-// TestRenewHammer races heartbeats against watchdog firings on a real
-// ticking runtime; under -race this is the ordering torture test. The
-// lease must stay alive while heartbeats flow and die once they stop.
+// TestRenewHammer races four heartbeat goroutines against watchdog
+// firings; under -race this is the ordering torture test. Time is a
+// clock.Fake shared by the table and the runtime, and it advances 1 ms
+// only after all four renewers have renewed in the current round, while
+// the next round's renewals race that advance and its Poll. The 5 ms
+// lease must stay alive while heartbeats flow, however the goroutines
+// interleave, and expire exactly once after they stop.
 func TestRenewHammer(t *testing.T) {
-	rt := timer.NewRuntime(timer.WithGranularity(time.Millisecond))
+	const ttl, renewers, rounds = 5 * time.Millisecond, 4, 100
+	fc := clock.NewFake(time.Time{})
+	rt := timer.NewRuntime(
+		timer.WithClockSource(fc),
+		timer.WithManualDriver(),
+		timer.WithGranularity(time.Millisecond),
+	)
 	defer rt.Close()
 	var expirals atomic.Uint64
 	tb := NewTable(rt, Config{
 		MinTTL: time.Millisecond,
+		Now:    fc.Now,
 		OnExpire: func(uint64, []uint64) {
 			expirals.Add(1)
 		},
 	})
-	id, _, err := tb.Grant(5 * time.Millisecond)
+	id, _, err := tb.Grant(ttl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
+	var wg, renewed sync.WaitGroup
+	turns := make([]chan struct{}, renewers) // one token per round each
+	for g := range turns {
+		turns[g] = make(chan struct{}, 1)
 		wg.Add(1)
-		go func() {
+		go func(turn <-chan struct{}) {
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				tb.Renew(id, 5*time.Millisecond)
-				time.Sleep(time.Millisecond)
+			for range turn {
+				tb.Renew(id, ttl)
+				renewed.Done()
 			}
-		}()
+		}(turns[g])
 	}
-	time.Sleep(100 * time.Millisecond)
-	if expirals.Load() != 0 {
-		t.Fatal("lease expired while heartbeats flowed")
-	}
-	close(stop)
-	wg.Wait()
-	deadline := time.Now().Add(2 * time.Second)
-	for expirals.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("lease never expired after heartbeats stopped")
+	release := func() {
+		renewed.Add(renewers)
+		for _, turn := range turns {
+			turn <- struct{}{}
 		}
-		time.Sleep(2 * time.Millisecond)
+	}
+	release()
+	for r := 0; r < rounds; r++ {
+		renewed.Wait()
+		if r+1 < rounds {
+			release() // the next round races this advance and Poll
+		}
+		fc.Advance(time.Millisecond)
+		rt.Poll()
+		if expirals.Load() != 0 {
+			t.Fatalf("lease expired at round %d while heartbeats flowed", r)
+		}
+	}
+	for _, turn := range turns {
+		close(turn)
+	}
+	wg.Wait()
+	for i := 0; i < 4*int(ttl/time.Millisecond); i++ {
+		fc.Advance(time.Millisecond)
+		rt.Poll()
+	}
+	if n := expirals.Load(); n != 1 {
+		t.Fatalf("lease expired %d times after heartbeats stopped, want 1", n)
 	}
 	if st := tb.Stats(); st.Active != 0 || st.Expired != 1 {
 		t.Fatalf("stats: %+v", st)

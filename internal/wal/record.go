@@ -137,9 +137,9 @@ var (
 	// ErrClosed reports an operation on a closed log.
 	ErrClosed = errors.New("wal: log is closed")
 	// ErrFailed reports an operation on a log that hit an unrecoverable
-	// I/O error (a failed fsync, or a failed write that could not be
-	// repaired). Durability can no longer be promised; the process must
-	// restart and recover from disk.
+	// I/O error (a failed fsync, or a failed write of frames Append had
+	// already accepted). Durability can no longer be promised; the
+	// process must restart and recover from disk.
 	ErrFailed = errors.New("wal: log failed; restart and recover")
 	// ErrCorruptFrame reports bytes that can never extend into a valid
 	// frame: an insane length field, a checksum mismatch over a complete

@@ -14,9 +14,9 @@ import (
 	"time"
 )
 
-// logFile is the file surface the log appends through. *os.File
-// satisfies it; tests substitute fault-injecting wrappers to exercise
-// the short-write repair and fsync-failure paths.
+// logFile is the file surface the log flushes through. *os.File
+// satisfies it; tests substitute wrappers to count writes and to
+// exercise the flush-failure and fsync-failure paths.
 type logFile interface {
 	io.Writer
 	Sync() error
@@ -29,15 +29,27 @@ type logFile interface {
 // Commit, Sync, Snapshot, and Close — every Commit is still durable
 // (group-committed), but appends that nobody waits on ride along with
 // the next sync.
+//
+// Appended frames are buffered in memory and reach the file in one
+// write(2) at the next Commit, Sync, Snapshot or Close (or once 64 KiB
+// have collected), so an uncommitted record can be lost to a process
+// crash as well as to power loss — within the same window these
+// options bound.
 type Options struct {
 	// SyncEvery fsyncs once this many appended records are not yet
 	// durable: 1 makes every append durable before Append returns, N
 	// batches N records per fsync, 0 disables count-triggered syncs.
 	SyncEvery int
-	// SyncInterval fsyncs on a background cadence, bounding how long a
-	// record that nobody Commits can stay volatile; 0 disables it.
+	// SyncInterval bounds how long a record that nobody Commits can
+	// stay volatile: the first append that leaves a record unsynced arms
+	// a one-shot timer, and a sync that makes every record durable stops
+	// it, so an idle or fully committed log never wakes. 0 disables it.
 	SyncInterval time.Duration
 }
+
+// flushBytes caps the frames Append buffers: an append that finds this
+// many bytes waiting writes them out before adding its own frame.
+const flushBytes = 64 << 10
 
 // LSN is a log sequence number: the 1-based count of records appended.
 // LSNs are monotonic across snapshots and rotations.
@@ -69,12 +81,12 @@ type Stats struct {
 //	wal-<epoch>.log    the active (and only) segment
 //	snap-<epoch>.snap  the snapshot that seeds epoch <epoch>
 //
-// Appends serialize on an internal mutex; fsyncs are group-committed
-// (every waiter of one sync shares a single fsync syscall, and the
-// mutex is not held across it, so appends continue while the disk
-// works). Snapshot compacts: it atomically writes the caller's record
-// set as the new epoch's seed, rotates to a fresh segment, and deletes
-// older epochs.
+// Appends serialize on an internal mutex and frame into a buffer;
+// writes and fsyncs are group-committed (every waiter of one sync shares
+// a single write and a single fsync syscall, and the mutex is not held
+// across the fsync, so appends continue while the disk works). Snapshot
+// compacts: it atomically writes the caller's record set as the new
+// epoch's seed, rotates to a fresh segment, and deletes older epochs.
 type Log struct {
 	dir string
 	opt Options
@@ -83,18 +95,23 @@ type Log struct {
 	cond        *sync.Cond
 	f           logFile
 	epoch       uint64
-	buf         []byte
+	buf         []byte // frames appended but not yet written to f
 	lsn         LSN
 	durable     LSN
 	segBase     LSN // LSN of the last record not in the active segment
 	syncing     bool
 	closed      bool
-	failed      bool // unrecoverable I/O error; every mutation returns ErrFailed
-	size        int64
+	failed      bool  // unrecoverable I/O error; every mutation returns ErrFailed
+	size        int64 // active segment size, buffered frames included
 	durableSize int64 // bytes of the active segment known fsynced (frame-aligned)
 
-	stopInterval chan struct{}
-	intervalDone chan struct{}
+	// The SyncInterval timer: armed while some record may be unsynced.
+	// armGen counts armings and fireGen the firings consumed; a firing
+	// acts only when it is the current arming's own, so a stale one
+	// (stopped too late to cancel) cannot clear a newer arming.
+	interval        *time.Timer
+	armed           bool
+	armGen, fireGen uint64
 
 	appends   atomic.Uint64
 	syncs     atomic.Uint64
@@ -209,18 +226,16 @@ func Open(dir string, opt Options) (*Log, *RecoverResult, error) {
 			break
 		}
 	}
-	if opt.SyncInterval > 0 {
-		l.stopInterval = make(chan struct{})
-		l.intervalDone = make(chan struct{})
-		go l.intervalLoop(opt.SyncInterval)
-	}
 	return l, res, nil
 }
 
-// Append writes rec to the log and returns its LSN. The record is in
-// the operating system's hands but not necessarily on stable storage;
-// call Commit(lsn) before acknowledging the operation to a client, or
-// rely on the SyncEvery/SyncInterval policy for bounded-loss batching.
+// Append frames rec into the log's buffer and returns its LSN. The
+// record reaches the operating system at the next Commit, Sync,
+// Snapshot or Close, and stable storage at the next fsync; call
+// Commit(lsn) before acknowledging the operation to a client, or rely on
+// the SyncEvery/SyncInterval policy for bounded-loss batching. Append
+// fails only on bad input, a closed or failed log, or a failed flush of
+// the frames already buffered — never leaving rec half in the log.
 func (l *Log) Append(rec Record) (LSN, error) {
 	if rec.Op == 0 || rec.Op > opMax {
 		return 0, ErrBadOp
@@ -237,26 +252,21 @@ func (l *Log) Append(rec Record) (LSN, error) {
 		l.mu.Unlock()
 		return 0, ErrFailed
 	}
-	l.buf = appendFrame(l.buf[:0], rec)
-	if _, err := l.f.Write(l.buf); err != nil {
-		// A failed or short write may have advanced the file past
-		// partially written frame bytes. Repair to the last good frame
-		// boundary — truncate the garbage and seek back — so the next
-		// append lands where recovery can read it; if the repair itself
-		// fails, the tail is unknowable and the log is dead.
-		if _, serr := l.f.Seek(l.size, 0); serr != nil {
-			l.failed = true
-		} else if terr := l.f.Truncate(l.size); terr != nil {
-			l.failed = true
+	if len(l.buf) >= flushBytes {
+		if err := l.flushLocked(); err != nil {
+			l.mu.Unlock()
+			return 0, err
 		}
-		l.cond.Broadcast()
-		l.mu.Unlock()
-		return 0, err
 	}
+	n := len(l.buf)
+	l.buf = appendFrame(l.buf, rec)
 	l.lsn++
 	lsn := l.lsn
-	l.size += int64(len(l.buf))
+	l.size += int64(len(l.buf) - n)
 	pending := l.lsn - l.durable
+	if !l.armed && l.opt.SyncInterval > 0 {
+		l.armIntervalLocked()
+	}
 	l.mu.Unlock()
 	l.appends.Add(1)
 
@@ -266,6 +276,70 @@ func (l *Log) Append(rec Record) (LSN, error) {
 		}
 	}
 	return lsn, nil
+}
+
+// flushLocked writes the buffered frames to the segment in one write.
+// The frames were already accepted by Append, so a failed or short
+// write cannot be retracted: it truncates the file back to the last
+// flushed frame boundary, so recovery reads a clean prefix with no torn
+// tail, and fails the log, as a failed fsync does.
+func (l *Log) flushLocked() error {
+	if len(l.buf) == 0 {
+		return nil
+	}
+	if _, err := l.f.Write(l.buf); err != nil {
+		flushed := l.size - int64(len(l.buf))
+		if _, serr := l.f.Seek(flushed, 0); serr == nil {
+			l.f.Truncate(flushed)
+		}
+		l.buf = l.buf[:0]
+		l.failed = true
+		l.cond.Broadcast()
+		return err
+	}
+	l.buf = l.buf[:0]
+	return nil
+}
+
+// armIntervalLocked starts the SyncInterval timer for a record that
+// has just become unsynced with no timer pending.
+func (l *Log) armIntervalLocked() {
+	l.armed = true
+	l.armGen++
+	if l.interval == nil {
+		l.interval = time.AfterFunc(l.opt.SyncInterval, l.intervalFired)
+	} else {
+		l.interval.Reset(l.opt.SyncInterval)
+	}
+}
+
+// disarmIntervalLocked stops the timer once every record is durable. A
+// firing already under way still arrives; it is counted consumed here
+// only when Stop cancelled it.
+func (l *Log) disarmIntervalLocked() {
+	if !l.armed {
+		return
+	}
+	l.armed = false
+	if l.interval.Stop() {
+		l.fireGen++
+	}
+}
+
+// intervalFired is the SyncInterval timer's callback: it syncs every
+// appended record unless this firing belongs to an arming already
+// stopped.
+func (l *Log) intervalFired() {
+	l.mu.Lock()
+	l.fireGen++
+	current := l.fireGen == l.armGen && l.armed
+	if current {
+		l.armed = false
+	}
+	l.mu.Unlock()
+	if current {
+		_ = l.Sync()
+	}
 }
 
 // Commit blocks until every record up to lsn is on stable storage,
@@ -287,11 +361,14 @@ func (l *Log) Commit(lsn LSN) error {
 			l.cond.Wait()
 			continue
 		}
+		// One write hands every buffered frame to the fsync below;
+		// anything appended while the disk works waits for the next one.
+		if err := l.flushLocked(); err != nil {
+			return err
+		}
 		l.syncing = true
 		f := l.f
 		high := l.lsn
-		// Bytes written before this fsync started are covered by it;
-		// anything appended while the disk works waits for the next one.
 		highSize := l.size
 		l.mu.Unlock()
 		err := f.Sync()
@@ -302,6 +379,9 @@ func (l *Log) Commit(lsn LSN) error {
 			l.durable = high
 			if highSize > l.durableSize {
 				l.durableSize = highSize
+			}
+			if l.durable == l.lsn {
+				l.disarmIntervalLocked()
 			}
 		}
 		if err != nil {
@@ -327,21 +407,6 @@ func (l *Log) Sync() error {
 	return l.Commit(lsn)
 }
 
-// intervalLoop is the SyncInterval policy: a background fsync cadence.
-func (l *Log) intervalLoop(every time.Duration) {
-	defer close(l.intervalDone)
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.stopInterval:
-			return
-		case <-t.C:
-			_ = l.Sync()
-		}
-	}
-}
-
 // Snapshot compacts the log: records becomes the new epoch's seed (it
 // must describe the full live state — every outstanding timer and
 // lease), the segment rotates, and older epochs are deleted. The caller
@@ -352,7 +417,9 @@ func (l *Log) intervalLoop(every time.Duration) {
 // the old epoch stays authoritative — a seed that already renamed into
 // place is removed again — except when that rollback itself fails, in
 // which case the log transitions to failed (ErrFailed thereafter) so no
-// further appends can land where recovery would not look.
+// further appends can land where recovery would not look. Buffered
+// frames are flushed to the old segment first; a failed flush fails the
+// log before any seed is written.
 func (l *Log) Snapshot(records []Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -364,6 +431,11 @@ func (l *Log) Snapshot(records []Record) error {
 	}
 	for l.syncing {
 		l.cond.Wait() // never rotate under an in-flight fsync
+	}
+	// Every appended record reaches the old segment before the seed is
+	// written, so a snapshot that rolls back loses none of them.
+	if err := l.flushLocked(); err != nil {
+		return err
 	}
 	newEpoch := l.epoch + 1
 
@@ -445,6 +517,7 @@ func (l *Log) Snapshot(records []Record) error {
 	// Every record up to lsn is represented by the durable seed: the
 	// old segment is obsolete, so nothing remains to fsync.
 	l.durable = l.lsn
+	l.disarmIntervalLocked()
 	l.snapshots.Add(1)
 	old.Close()
 	for e := oldEpoch; ; e-- {
@@ -462,10 +535,10 @@ func (l *Log) Snapshot(records []Record) error {
 	return nil
 }
 
-// Close syncs and closes the log. It does not write a seal record —
-// that is the caller's shutdown protocol (append OpSeal, Sync, Close).
-// A failed log still closes its file descriptor: there is nothing left
-// to flush that could be trusted anyway.
+// Close flushes, syncs and closes the log. It does not write a seal
+// record — that is the caller's shutdown protocol (append OpSeal, Sync,
+// Close). A failed log still closes its file descriptor: there is
+// nothing left to flush that could be trusted anyway.
 func (l *Log) Close() error {
 	if err := l.Sync(); err != nil && err != ErrClosed && err != ErrFailed {
 		return err
@@ -476,13 +549,10 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	l.disarmIntervalLocked()
 	f := l.f
 	l.cond.Broadcast()
 	l.mu.Unlock()
-	if l.stopInterval != nil {
-		close(l.stopInterval)
-		<-l.intervalDone
-	}
 	return f.Close()
 }
 

@@ -343,3 +343,51 @@ func TestVirtualDriverRunsCompressedTime(t *testing.T) {
 			started, expired, stopped, rt.Outstanding())
 	}
 }
+
+// TestFiringWindowOneGranularity pins the firing window of a wall-clock
+// delay on an on-time driver: the delay counts from the start of the
+// current tick, rounded up to whole ticks, so the timer fires within one
+// granularity either side of armedAt+d — early when armed late in a
+// tick, late when d is not a whole number of ticks. The driver polls
+// every millisecond, so each tick boundary is polled on time.
+func TestFiringWindowOneGranularity(t *testing.T) {
+	const g = 10 * time.Millisecond
+	cases := []struct {
+		offset, d time.Duration // arm offset into the tick, requested delay
+		after     time.Duration // exact arm-to-fire time
+	}{
+		{0, 10 * time.Millisecond, 10 * time.Millisecond},
+		{3 * time.Millisecond, 10 * time.Millisecond, 7 * time.Millisecond},
+		{7 * time.Millisecond, 10 * time.Millisecond, 3 * time.Millisecond},
+		{9 * time.Millisecond, 10 * time.Millisecond, 1 * time.Millisecond},
+		{0, 1 * time.Millisecond, 10 * time.Millisecond},
+		{9 * time.Millisecond, 1 * time.Millisecond, 1 * time.Millisecond},
+		{0, 25 * time.Millisecond, 30 * time.Millisecond},
+		{7 * time.Millisecond, 25 * time.Millisecond, 23 * time.Millisecond},
+		{5 * time.Millisecond, 40 * time.Millisecond, 35 * time.Millisecond},
+	}
+	for _, c := range cases {
+		rt, fc := newFakeRuntime(t)
+		fc.Advance(4*g + c.offset) // some ticks in, then part-way into one
+		rt.Poll()
+		armed := fc.Now()
+		var fired time.Time
+		if _, err := rt.AfterFunc(c.d, func() { fired = fc.Now() }); err != nil {
+			t.Fatal(err)
+		}
+		for fired.IsZero() && fc.Since(armed) <= c.d+2*g {
+			fc.Advance(time.Millisecond)
+			rt.Poll()
+		}
+		if fired.IsZero() {
+			t.Fatalf("offset %v, AfterFunc(%v): never fired", c.offset, c.d)
+		}
+		got := fired.Sub(armed)
+		if got != c.after {
+			t.Errorf("offset %v, AfterFunc(%v): fired after %v, want %v", c.offset, c.d, got, c.after)
+		}
+		if miss := got - c.d; miss <= -g || miss >= g {
+			t.Errorf("offset %v, AfterFunc(%v): %v from the wall deadline, outside one granularity", c.offset, c.d, miss)
+		}
+	}
+}

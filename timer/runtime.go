@@ -107,7 +107,10 @@ func WithManualDriver() RuntimeOption {
 
 // Runtime drives a Scheme from the wall clock and makes it safe for
 // concurrent use. Timers are scheduled in time.Duration terms; durations
-// round up to whole ticks so a timer never fires before its deadline.
+// round up to whole ticks counted from the start of the current tick, so
+// on an on-time driver a timer fires within one granularity either side
+// of its wall-clock deadline (now + d): up to a tick late when armed at
+// a tick boundary, up to a tick early when armed just before the next.
 //
 // Expiry functions run on the runtime's ticking goroutine, outside the
 // internal lock, so they may schedule and stop other timers; they should
@@ -550,8 +553,8 @@ func (rt *Runtime) Schedule(ticks Tick, fn func(), opts ...ScheduleOption) (*Tim
 // lags the wall clock — a parked tickless driver, or a catch-up episode
 // in progress. Starting the timer against the stale virtual clock would
 // fire it early by exactly the staleness; stretching by the lag lands
-// the expiry on the wall-clock deadline instead, upholding the "never
-// fires before its deadline" guarantee. The interval is never shortened:
+// the expiry in the same window an on-time facility gives, within one
+// granularity of the wall-clock deadline. The interval is never shortened:
 // after a backward clock step the facility is ahead of the wall and
 // timers stay conservatively late, not early. wallTicks is the wall
 // reading, taken by the caller outside rt.mu so the lock isn't held
