@@ -66,11 +66,14 @@ race:
 	$(GO) test -race ./...
 
 # Hot-path benchmarks with allocation counts, summarized as JSON at the
-# repo root (BENCH_10.json) and gated against the committed BENCH_9.json:
+# repo root (BENCH_11.json) and gated against the committed BENCH_10.json:
 # the run fails if AfterFunc+Stop slows down more than 10% or the
-# allocation-free hot path starts allocating. BENCH_10 adds the
-# reset-heavy race (BenchmarkResetHeavy): wheels vs the grouped sorting
-# queue as the reset ratio sweeps 50/80/95%. Set
+# allocation-free hot path starts allocating. BENCH_11 reruns the
+# reset-heavy race (BenchmarkResetHeavy, reset ratio 50/80/95%) with
+# every wheel resetting in place, as gsq already did in BENCH_10. Both
+# files were taken at GOMAXPROCS=1, whose benchmark names carry no -N
+# suffix; benchjson matches names verbatim, so on a multi-core box run
+# `GOMAXPROCS=1 make bench` for the gate to compare anything. Set
 # BENCH_BASELINE to a saved `go test -bench` output file to embed
 # different before/after numbers; BENCH_COUNT repeats each benchmark.
 # `make benchall` is the old kitchen-sink run.
@@ -79,7 +82,7 @@ BENCH_COUNT ?= 1
 bench:
 	$(GO) run ./cmd/benchjson -count=$(BENCH_COUNT) \
 		$(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE)) \
-		-compare BENCH_9.json -o BENCH_10.json
+		-compare BENCH_10.json -o BENCH_11.json
 
 benchall:
 	$(GO) test -bench=. -benchmem ./...

@@ -337,36 +337,27 @@ func BenchmarkHybridOps(b *testing.B) {
 
 // benchResetHeavy drives one facility through a reset-dominated
 // operation mix: with probability r% an iteration re-arms a random
-// resident timer to a fresh interval, otherwise it Ticks. Schemes
-// implementing core.IDResetter (the grouped sorting queue) re-arm in
-// place; the wheels pay the StopTimerID+StartTimer pair a Runtime
-// issues when its scheme lacks in-place support. Timers that fired
-// under the tick share are restarted on their next selection, holding
-// the population near n throughout.
+// resident timer to a fresh interval, otherwise it Ticks. Every
+// production scheme re-arms in place through core.Resetter. Timers that
+// fired under the tick share are restarted on their next selection,
+// holding the population near n throughout.
 func benchResetHeavy(b *testing.B, f core.Facility, n, maxIv, r int) {
 	b.Helper()
+	rr, ok := f.(core.Resetter)
+	if !ok {
+		b.Fatal("scheme does not implement core.Resetter")
+	}
 	hs := make([]core.Handle, n)
-	ids := make([]core.ID, n)
 	rng := dist.NewRNG(1987)
+	start := func(i int, iv core.Tick) {
+		h, err := f.StartTimer(iv, noop)
+		if err != nil {
+			b.Fatal(err)
+		}
+		hs[i] = h
+	}
 	for i := 0; i < n; i++ {
-		iv := core.Tick(1 + rng.Intn(maxIv))
-		h, err := f.StartTimer(iv, noop)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hs[i], ids[i] = h, h.TimerID()
-	}
-	idr, inPlace := f.(core.IDResetter)
-	ids2, hasIDStop := f.(core.IDStopper)
-	if !inPlace && !hasIDStop {
-		b.Fatal("scheme implements neither IDResetter nor IDStopper")
-	}
-	restart := func(i int, iv core.Tick) {
-		h, err := f.StartTimer(iv, noop)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hs[i], ids[i] = h, h.TimerID()
+		start(i, core.Tick(1+rng.Intn(maxIv)))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -376,26 +367,19 @@ func benchResetHeavy(b *testing.B, f core.Facility, n, maxIv, r int) {
 		}
 		j := rng.Intn(n)
 		iv := core.Tick(1 + rng.Intn(maxIv))
-		if inPlace {
-			if idr.ResetTimerID(hs[j], ids[j], iv) != nil {
-				restart(j, iv) // fired under a tick: repopulate
-			}
-			continue
+		if rr.ResetTimer(hs[j], iv) != nil {
+			start(j, iv) // fired under a tick: repopulate
 		}
-		if ids2.StopTimerID(hs[j], ids[j]) != nil {
-			restart(j, iv)
-			continue
-		}
-		restart(j, iv)
 	}
 }
 
 // BenchmarkResetHeavy: the reset-dominated race the grouped sorting
 // queue was added for (wall-clock analogue of twbench e16). Equal-range
 // tables: scheme6/hybrid 4096 buckets, scheme7 spans 2^26 in 448 slots,
-// gsq covers 4096 ticks in 512 bands of width 8. At high reset ratios
-// the wheels churn their free lists twice per re-arm while gsq relinks
-// the same entry, so the ns/op crossover appears as r grows.
+// gsq covers 4096 ticks in 512 bands of width 8. Every scheme relinks
+// the same entry on a reset; what separates them is per-tick work (Scheme
+// 6 visits every resident once per revolution, Scheme 7 cascades, gsq
+// sorts only band survivors).
 func BenchmarkResetHeavy(b *testing.B) {
 	const (
 		n     = 16384

@@ -16,12 +16,12 @@ import (
 // runE16 races the paper's wheels against the grouped sorting queue on
 // the reset-dominated scenario family: n connections whose retransmit
 // timers are re-armed on a fraction r of lifecycle events (every ACK
-// pushes the timeout out). The wheels pay a delete+re-insert —
-// re-discretization, and for Scheme 7 a fresh cascade position — per
-// reset; the grouped sorting queue re-links the entry in place for a
-// constant that is independent of both n and r. The table publishes
-// where the crossover sits: at which reset ratio the per-event cost of
-// gsq drops below Scheme 6 and Scheme 7.
+// pushes the timeout out). Every scheme re-arms the same entry in place
+// (unlink, re-place, relink); the wheels re-discretize, and Scheme 7
+// takes a fresh cascade position, while the grouped sorting queue only
+// relinks and sorts a band's survivors once. The table publishes where
+// the crossover sits: at which reset ratio the per-event cost of gsq
+// drops below Scheme 6 and Scheme 7.
 func runE16(e env) {
 	schemes := []struct {
 		name string
@@ -107,8 +107,7 @@ func runE16(e env) {
 			note("%s beats %s (per-event cost) from %s", g, wheel, strings.Join(lines, ", "))
 		}
 	}
-	note("resets re-arm in place on gsq (no delete+re-insert, no")
-	note("re-discretization); the wheels pay two hash-list operations per")
-	note("reset and scheme7 re-enters the cascade. Timers reset away")
-	note("before their band comes due are never sorted at all.")
+	note("every scheme resets in place: one unlink and one placement per")
+	note("reset; scheme7 re-enters the cascade. Timers reset away before")
+	note("their gsq band comes due are never sorted at all.")
 }

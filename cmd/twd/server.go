@@ -548,7 +548,7 @@ func (s *server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, code, err.Error())
 		return
 	}
-	writeJSON(w, map[string]any{"timers": acks})
+	writeJSON(w, batchResponse{Timers: acks})
 }
 
 // admit runs the durable admission protocol for a batch: validate,
@@ -728,7 +728,7 @@ func (s *server) handleStop(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		// Unknown, settled, or an admission still in flight.
 		s.mu.Unlock()
-		writeJSON(w, map[string]any{"stopped": false})
+		writeJSON(w, stopResponse{Stopped: false})
 		return
 	}
 	ts := s.state.Timers[req.ID]
@@ -775,7 +775,7 @@ func (s *server) handleStop(w http.ResponseWriter, r *http.Request) {
 	// journal finds the timer gone and logs nothing.
 	stopped := tm.Stop()
 	s.maybeCompact()
-	writeJSON(w, map[string]any{"stopped": stopped})
+	writeJSON(w, stopResponse{Stopped: stopped})
 }
 
 func (s *server) handleReset(w http.ResponseWriter, r *http.Request) {
@@ -1017,13 +1017,13 @@ func (s *server) handleFired(w http.ResponseWriter, r *http.Request) {
 					s.stages.Amend(p.tlSeq, "push", pushNS-p.firedNS)
 				}
 			}
-			writeJSON(w, map[string]any{"events": events, "next": next})
+			writeJSON(w, firedResponse{Events: events, Next: next})
 			return
 		}
 		remain := time.Until(deadline)
 		if remain <= 0 {
 			s.mu.Unlock()
-			writeJSON(w, map[string]any{"events": []firedEvent{}, "next": next})
+			writeJSON(w, firedResponse{Events: []firedEvent{}, Next: next})
 			return
 		}
 		if s.firedNotify == nil {
@@ -1295,5 +1295,30 @@ func httpError(w http.ResponseWriter, status int, code, msg string) {
 		w.Header().Set("Retry-After", "1")
 	}
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": code, "message": msg})
+	json.NewEncoder(w).Encode(errorResponse{Error: code, Message: msg})
 }
+
+// Response bodies of the hot endpoints. Fields are declared in
+// alphabetical order so the bytes match what encoding a map with the
+// same keys produced.
+type (
+	// batchResponse is the /v1/schedule-batch reply.
+	batchResponse struct {
+		Timers []scheduledAck `json:"timers"`
+	}
+	// stopResponse is the /v1/stop reply.
+	stopResponse struct {
+		Stopped bool `json:"stopped"`
+	}
+	// firedResponse is the /v1/fired reply.
+	firedResponse struct {
+		Events []firedEvent `json:"events"`
+		Next   uint64       `json:"next"`
+	}
+	// errorResponse is every error reply: `error` a stable code,
+	// `message` the human detail.
+	errorResponse struct {
+		Error   string `json:"error"`
+		Message string `json:"message"`
+	}
+)

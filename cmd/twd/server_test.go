@@ -1008,3 +1008,50 @@ func BenchmarkSettleFullRing(b *testing.B) {
 		settle(uint64(firedRingMax + 1 + i))
 	}
 }
+
+// TestResponseBodiesByteIdentical pins the wire format of the typed
+// response bodies: each encodes to exactly the bytes the equivalent
+// map[string]any encoding produced, headers and status included.
+func TestResponseBodiesByteIdentical(t *testing.T) {
+	events := []firedEvent{
+		{Seq: 7, ID: 42, FiredNS: 1_700_000_000_000_000_000, LagNS: 1234, Payload: "p", tlSeq: 9},
+		{Seq: 8, ID: 43, FiredNS: 1_700_000_000_000_000_001},
+	}
+	acks := []scheduledAck{{ID: 1, DeadlineNS: 5}, {ID: 2, DeadlineNS: 6}}
+	cases := []struct {
+		name    string
+		typed   any
+		untyped any
+	}{
+		{"stop-true", stopResponse{Stopped: true}, map[string]any{"stopped": true}},
+		{"stop-false", stopResponse{}, map[string]any{"stopped": false}},
+		{"schedule-batch", batchResponse{Timers: acks}, map[string]any{"timers": acks}},
+		{"fired", firedResponse{Events: events, Next: 9}, map[string]any{"events": events, "next": uint64(9)}},
+		{"fired-nil", firedResponse{Next: 3}, map[string]any{"events": []firedEvent(nil), "next": uint64(3)}},
+		{"fired-empty", firedResponse{Events: []firedEvent{}, Next: 3}, map[string]any{"events": []firedEvent{}, "next": uint64(3)}},
+	}
+	for _, c := range cases {
+		got, want := httptest.NewRecorder(), httptest.NewRecorder()
+		writeJSON(got, c.typed)
+		writeJSON(want, c.untyped)
+		if got.Body.String() != want.Body.String() || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
+			t.Errorf("%s: typed body %q, map body %q", c.name, got.Body, want.Body)
+		}
+	}
+
+	for _, status := range []int{http.StatusBadRequest, http.StatusServiceUnavailable} {
+		got, want := httptest.NewRecorder(), httptest.NewRecorder()
+		httpError(got, status, "wal_failed", `wal append: "disk" <full> & gone`)
+		want.Header().Set("Content-Type", "application/json")
+		if status == http.StatusServiceUnavailable {
+			want.Header().Set("Retry-After", "1")
+		}
+		want.WriteHeader(status)
+		json.NewEncoder(want).Encode(map[string]string{"error": "wal_failed", "message": `wal append: "disk" <full> & gone`})
+		if got.Body.String() != want.Body.String() || got.Code != want.Code ||
+			fmt.Sprint(got.Header()) != fmt.Sprint(want.Header()) {
+			t.Errorf("error %d: typed %d %v %q, map %d %v %q", status,
+				got.Code, got.Header(), got.Body, want.Code, want.Header(), want.Body)
+		}
+	}
+}

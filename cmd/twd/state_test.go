@@ -312,7 +312,7 @@ func TestHealthzRecoveredIsBootTime(t *testing.T) {
 // BenchmarkBoot prices booting a primary on a 100k-timer snapshot —
 // wal.Open's streaming replay plus arming every timer from the State —
 // and reports the live heap the booted daemon holds per resident timer
-// after a GC.
+// after a GC, in bytes and in heap objects.
 func BenchmarkBoot(b *testing.B) {
 	const n = 100_000
 	dir := b.TempDir()
@@ -334,7 +334,7 @@ func BenchmarkBoot(b *testing.B) {
 	l.Close()
 	st = nil
 	cfg := config{dir: dir, syncEvery: 64, logger: slog.New(slog.NewTextHandler(io.Discard, nil))}
-	var perTimer float64
+	var perTimer, objsPerTimer float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -350,9 +350,11 @@ func BenchmarkBoot(b *testing.B) {
 		runtime.GC()
 		runtime.ReadMemStats(&after)
 		perTimer = (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+		objsPerTimer = (float64(after.HeapObjects) - float64(before.HeapObjects)) / n
 		runtime.KeepAlive(s)
 		s.shutdown(context.Background())
 		b.StartTimer()
 	}
 	b.ReportMetric(perTimer, "B/timer")
+	b.ReportMetric(objsPerTimer, "objects/timer")
 }

@@ -12,10 +12,11 @@
 //
 // Re-arming a live timer (the retransmission idiom: every ACK pushes
 // the timeout out) is a first-class verb with one behavior and two
-// report precisions. At the facility layer, schemes implementing
-// core.Resetter — the grouped sorting queue, timer.NewGroupedQueue —
-// re-arm the same entry in place in O(1); a reset of a fired or
-// stopped timer is refused with no side effects. At the runtime layer,
+// report precisions. At the facility layer, the production schemes
+// (Schemes 5, 6, 7, the hybrid, and the grouped sorting queue) implement
+// core.Resetter and re-arm the same entry in place — unlink, re-place,
+// relink; a reset of a fired or stopped timer is refused with no side
+// effects. At the runtime layer,
 // Timer.Reset re-arms unconditionally: a synchronous Runtime reports
 // wasPending exactly, while a WithIngress Runtime's report is advisory
 // (true whenever no Stop was committed, even if the action already

@@ -58,7 +58,7 @@ func (s *server) acceptLoop() {
 
 // serve echoes lines; the idle watchdog closes the connection if no
 // line arrives for idleAfter. Every received line Resets the timer —
-// the O(1) stop+start path that makes a shared wheel scale.
+// the O(1) in-place relink that makes a shared wheel scale.
 func (s *server) serve(conn net.Conn) {
 	defer conn.Close()
 	idle, err := s.rt.AfterFunc(idleAfter, func() {

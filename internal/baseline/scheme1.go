@@ -65,7 +65,7 @@ func (s *Scheme1) StartTimer(interval core.Tick, cb core.Callback) (core.Handle,
 	if err := core.CheckInterval(interval, cb); err != nil {
 		return nil, err
 	}
-	e := &s1entry{id: s.nextID, remaining: interval, cb: cb, owner: s}
+	e := &s1entry{id: s.nextID, remaining: interval, cb: cb, owner: s, state: core.StatePending}
 	s.nextID++
 	e.node.Value = e
 	s.cost.Write(1) // store the interval

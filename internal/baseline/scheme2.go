@@ -89,7 +89,7 @@ func (s *Scheme2) StartTimer(interval core.Tick, cb core.Callback) (core.Handle,
 	if err := core.CheckInterval(interval, cb); err != nil {
 		return nil, err
 	}
-	e := &s2entry{id: s.nextID, when: s.now + interval, cb: cb, owner: s}
+	e := &s2entry{id: s.nextID, when: s.now + interval, cb: cb, owner: s, state: core.StatePending}
 	s.nextID++
 	e.node.Value = e
 	s.insert(e)

@@ -83,67 +83,22 @@ type Facility interface {
 	Len() int
 }
 
-// PayloadCallback is the zero-allocation variant of Callback: expiry
-// processing invokes it with the timer's ID and the opaque payload the
-// caller stored at start time. Because the payload rides with the timer
-// entry, a host runtime needs no per-timer capturing closure to find its
-// own record — one shared PayloadCallback serves every timer.
-type PayloadCallback func(id ID, payload any)
-
-// PayloadStarter is an optional fast-path extension of Facility for
-// hosts (like the concurrent runtime) that schedule at high rates.
-//
-// StartTimerPayload behaves like StartTimer but stores payload with the
-// entry and fires cb(id, payload) instead of a per-timer closure. It
-// also opts the entry into the facility's free-list: the entry object is
-// recycled as soon as the timer fires or is stopped, so steady-state
-// scheduling allocates nothing.
-//
-// Recycling means the returned Handle may later be reissued for a
-// different timer. Callers MUST therefore cancel through StopTimerID
-// (IDStopper), remembering the ID the handle reported at start time;
-// the never-reused ID is the ABA guard that makes a stale handle inert.
-// Plain StopTimer on a payload-started handle is NOT safe once the
-// timer has fired or been stopped.
-type PayloadStarter interface {
-	StartTimerPayload(interval Tick, payload any, cb PayloadCallback) (Handle, error)
-}
-
-// IDStopper is the cancellation half of the PayloadStarter fast path:
-// StopTimerID cancels the timer only if h still represents the timer
-// identified by id. If the underlying entry has been recycled and
-// reissued (so h now carries a different ID), or the timer already
-// fired or was stopped, it fails with ErrTimerNotPending — a stale
-// handle can never cancel somebody else's timer.
-type IDStopper interface {
-	StopTimerID(h Handle, id ID) error
-}
-
 // Resetter is an optional extension for facilities that can re-arm an
 // outstanding timer in place — the "dynamic update" operation of the
 // grouped-sorting-queue literature (see PAPERS.md): TCP retransmit
 // timers are reset on every ACK, idle timers on every packet, so on
-// reset-dominated workloads update-in-place beats stop+start.
+// reset-dominated workloads update-in-place beats stop+start. Every
+// EntryScheme implements it.
 //
 // ResetTimer re-arms the timer h refers to so it expires interval ticks
 // from now, keeping the same entry and the same ID — the handle remains
-// valid and no free-list churn occurs. It fails with ErrTimerNotPending
-// (and has no side effects) if the timer already fired or was stopped,
-// with ErrNonPositiveInterval if interval < 1, and with
-// ErrForeignHandle for a handle issued elsewhere. Schemes without this
-// extension are reset by the caller as StopTimer followed by
-// StartTimer.
+// valid. It fails with ErrTimerNotPending (and has no side effects) if
+// the timer already fired or was stopped, with ErrNonPositiveInterval
+// if interval < 1, and with ErrForeignHandle for a handle issued
+// elsewhere. Schemes without this extension are reset by the caller as
+// StopTimer followed by StartTimer.
 type Resetter interface {
 	ResetTimer(h Handle, interval Tick) error
-}
-
-// IDResetter is the ABA-guarded variant of Resetter, paired with
-// PayloadStarter/IDStopper exactly as StopTimerID is: ResetTimerID
-// re-arms in place only if h still represents the timer identified by
-// id, so a stale handle into a recycled entry can never re-arm a
-// stranger's timer. It fails with ErrTimerNotPending otherwise.
-type IDResetter interface {
-	ResetTimerID(h Handle, id ID, interval Tick) error
 }
 
 // Advancer is implemented by facilities that can skip over several ticks
@@ -203,10 +158,12 @@ var (
 // State is the lifecycle state of a timer entry.
 type State uint8
 
-// Timer lifecycle: Pending until it either Fires (expiry processing ran)
-// or is Stopped (cancelled before expiry).
+// Timer lifecycle: Idle until armed, then Pending until it either Fires
+// (expiry processing ran) or is Stopped (cancelled before expiry). Idle
+// is the zero value, so a fresh Entry is not mistaken for a pending one.
 const (
-	StatePending State = iota
+	StateIdle State = iota
+	StatePending
 	StateFired
 	StateStopped
 )
@@ -214,6 +171,8 @@ const (
 // String returns the lower-case state name.
 func (s State) String() string {
 	switch s {
+	case StateIdle:
+		return "idle"
 	case StatePending:
 		return "pending"
 	case StateFired:

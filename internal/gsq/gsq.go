@@ -16,13 +16,12 @@
 //	START_TIMER            O(1) worst case (push onto an unsorted band)
 //	STOP_TIMER             O(1) worst case (doubly-linked unlink)
 //	RESET (in place)       O(1) worst case: unlink from the current
-//	                       band, relink into the target band — no
-//	                       cascade, no re-discretization, same entry,
-//	                       same ID. This is the operation wheels lack:
-//	                       their Reset is a stop+start that re-pays
-//	                       discretization, and every surviving timer is
-//	                       still touched once per revolution (Scheme 6)
-//	                       or cascaded between levels (Scheme 7).
+//	                       band, relink into the target band — same
+//	                       entry, same ID. The wheels reset in place
+//	                       too, but every surviving timer is still
+//	                       touched once per revolution (Scheme 6) or
+//	                       cascaded between levels (Scheme 7); a band
+//	                       touches its survivors once, at its sort.
 //	PER_TICK_BOOKKEEPING   amortized O(1) + O(k log k) once per band
 //	                       for the k timers that are STILL THERE when
 //	                       the band comes due.
@@ -51,53 +50,22 @@ import (
 	"timingwheels/internal/metrics"
 )
 
-// entry is one outstanding grouped-sorting-queue timer.
-type entry struct {
-	id      core.ID
-	when    core.Tick // absolute expiry; the band is when>>shift
-	cb      core.Callback
-	pcb     core.PayloadCallback
-	payload any
-	state   core.State
-	// pooled marks entries started through StartTimerPayload: recycled
-	// onto the free list as soon as they fire or are stopped.
-	pooled bool
-	// inBatch marks an entry collected into the current Tick's firing
-	// batch. A sibling callback may stop it (release is deferred to the
-	// batch loop so the entry is not recycled while still referenced)
-	// or reset it in place (the relink re-admits it; the batch loop
-	// skips entries that are attached again).
-	inBatch bool
-	owner   *Scheme
-	node    ilist.Node[*entry]
-}
-
-// TimerID implements core.Handle.
-func (e *entry) TimerID() core.ID { return e.id }
-
-// fire runs the entry's expiry action through whichever callback form it
-// was started with.
-func (e *entry) fire() {
-	if e.pcb != nil {
-		e.pcb(e.id, e.payload)
-		return
-	}
-	e.cb(e.id)
-}
-
 // Scheme is the grouped sorting queue facility.
+//
+// Entries (core.Entry) are caller-owned; their absolute expiry alone
+// places them.
 type Scheme struct {
-	slots []ilist.List[*entry] // band ring: epoch e lives in slots[e%bands]
-	mask  int                  // len(slots)-1 if power of two, else -1
-	shift uint                 // width == 1<<shift; band of when is when>>shift
+	slots []ilist.List[*core.Entry] // band ring: epoch e lives in slots[e%bands]
+	mask  int                       // len(slots)-1 if power of two, else -1
+	shift uint                      // width == 1<<shift; band of when is when>>shift
 	width core.Tick
 
 	// cur holds the current band's survivors, sorted ascending by
 	// expiry (built by one lazy sort when the band came due); young
 	// holds timers admitted after that sort with deadlines inside the
 	// current band, unsorted.
-	cur      ilist.List[*entry]
-	young    ilist.List[*entry]
+	cur      ilist.List[*core.Entry]
+	young    ilist.List[*core.Entry]
 	curEpoch int64
 
 	now    core.Tick
@@ -105,10 +73,8 @@ type Scheme struct {
 	n      int
 	cost   *metrics.Cost
 
-	// free is the entry free list for the StartTimerPayload fast path.
-	free    []*entry
-	batch   []*entry
-	sortBuf []*entry
+	batch   []*core.Entry
+	sortBuf []*core.Entry
 
 	// Lazy-sort diagnostics: how many band sorts ran and how many
 	// entries passed through them. Entries reset away before their band
@@ -131,7 +97,7 @@ func New(bands int, width core.Tick, cost *metrics.Cost) *Scheme {
 		panic(fmt.Sprintf("gsq: band width must be a power of two, got %d", width))
 	}
 	s := &Scheme{
-		slots: make([]ilist.List[*entry], bands),
+		slots: make([]ilist.List[*core.Entry], bands),
 		mask:  -1,
 		shift: uint(bits.TrailingZeros64(uint64(width))),
 		width: width,
@@ -176,118 +142,28 @@ func (s *Scheme) index(epoch int64) int {
 	return i
 }
 
-// acquire returns a recycled entry (reset to pending) or a fresh one.
-func (s *Scheme) acquire() *entry {
-	if n := len(s.free); n > 0 {
-		e := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		e.state = core.StatePending
-		return e
-	}
-	e := &entry{}
-	e.node.Value = e
-	return e
-}
-
-// release parks a pooled entry on the free list. The caller guarantees
-// the node is detached, the entry reached a terminal state, and it is
-// not (or no longer) referenced by the firing batch.
-func (s *Scheme) release(e *entry) {
-	e.cb = nil
-	e.pcb = nil
-	e.payload = nil
-	s.free = append(s.free, e)
-}
-
 // place links a pending entry into the structure according to its
 // (already set) absolute expiry: the young list when it is due within
 // the current band, the band ring otherwise. O(1) always.
-func (s *Scheme) place(e *entry) {
-	ep := s.epochOf(e.when)
+func (s *Scheme) place(e *core.Entry) {
+	ep := s.epochOf(e.When)
 	s.cost.Compare(1) // current-band test
 	if ep == s.curEpoch {
-		s.young.PushFront(&e.node)
+		s.young.PushFront(&e.Node)
 	} else {
 		s.cost.Write(1) // store the absolute expiry with the entry
-		s.slots[s.index(ep)].PushFront(&e.node)
+		s.slots[s.index(ep)].PushFront(&e.Node)
 	}
 	s.n++
 }
 
 // StartTimer groups the timer into its deadline band in O(1).
 func (s *Scheme) StartTimer(interval core.Tick, cb core.Callback) (core.Handle, error) {
-	if err := core.CheckInterval(interval, cb); err != nil {
-		return nil, err
-	}
-	return s.insert(interval, cb, nil, nil, false), nil
-}
-
-// StartTimerPayload implements core.PayloadStarter: like StartTimer, but
-// the entry carries an opaque payload, fires through the shared cb, and
-// is recycled on the facility's free list at fire/stop time.
-func (s *Scheme) StartTimerPayload(interval core.Tick, payload any, cb core.PayloadCallback) (core.Handle, error) {
-	if cb == nil {
-		return nil, core.ErrNilCallback
-	}
-	if interval < 1 {
-		return nil, core.ErrNonPositiveInterval
-	}
-	return s.insert(interval, nil, cb, payload, true), nil
-}
-
-// insert links one validated timer into its band.
-func (s *Scheme) insert(interval core.Tick, cb core.Callback, pcb core.PayloadCallback, payload any, pooled bool) *entry {
-	e := s.acquire()
-	e.id = s.nextID
-	s.nextID++
-	e.when = s.now + interval
-	e.cb, e.pcb, e.payload = cb, pcb, payload
-	e.pooled = pooled
-	e.owner = s
-	s.place(e)
-	return e
+	return core.StartTimer(s, interval, cb)
 }
 
 // StopTimer unlinks the timer from its band in O(1).
-func (s *Scheme) StopTimer(h core.Handle) error {
-	e, ok := h.(*entry)
-	if !ok || e.owner != s {
-		return core.ErrForeignHandle
-	}
-	return s.stopEntry(e)
-}
-
-// StopTimerID implements core.IDStopper: StopTimer guarded against
-// recycled-handle ABA by the never-reused timer ID.
-func (s *Scheme) StopTimerID(h core.Handle, id core.ID) error {
-	e, ok := h.(*entry)
-	if !ok || e.owner != s {
-		return core.ErrForeignHandle
-	}
-	if e.id != id {
-		return core.ErrTimerNotPending
-	}
-	return s.stopEntry(e)
-}
-
-// stopEntry cancels an outstanding entry. An entry sitting in the
-// current firing batch (detached, pending) is marked stopped and left
-// for the batch loop to recycle.
-func (s *Scheme) stopEntry(e *entry) error {
-	if e.state != core.StatePending {
-		return core.ErrTimerNotPending
-	}
-	e.state = core.StateStopped
-	if e.node.Attached() {
-		e.node.Detach()
-		s.n--
-		if e.pooled && !e.inBatch {
-			s.release(e)
-		}
-	}
-	return nil
-}
+func (s *Scheme) StopTimer(h core.Handle) error { return core.StopTimer(s, h) }
 
 // ResetTimer implements core.Resetter: the O(1) dynamic update. The
 // timer keeps its entry and ID; it is unlinked from wherever it lives
@@ -295,42 +171,48 @@ func (s *Scheme) stopEntry(e *entry) error {
 // fired or was stopped is refused with ErrTimerNotPending and nothing
 // changes.
 func (s *Scheme) ResetTimer(h core.Handle, interval core.Tick) error {
-	e, ok := h.(*entry)
-	if !ok || e.owner != s {
-		return core.ErrForeignHandle
-	}
-	return s.resetEntry(e, interval)
+	return core.ResetTimer(s, h, interval)
 }
 
-// ResetTimerID implements core.IDResetter: ResetTimer guarded against
-// recycled-handle ABA by the never-reused timer ID.
-func (s *Scheme) ResetTimerID(h core.Handle, id core.ID, interval core.Tick) error {
-	e, ok := h.(*entry)
-	if !ok || e.owner != s {
-		return core.ErrForeignHandle
-	}
-	if e.id != id {
-		return core.ErrTimerNotPending
-	}
-	return s.resetEntry(e, interval)
-}
-
-// resetEntry re-arms a pending entry in place. An entry collected into
-// the current firing batch but not yet fired (a sibling callback is
-// resetting it) is re-admitted: relinking it makes the batch loop skip
-// it, so it fires at the new deadline — exactly once.
-func (s *Scheme) resetEntry(e *entry, interval core.Tick) error {
+// StartEntry implements core.EntryOps.
+func (s *Scheme) StartEntry(e *core.Entry, interval core.Tick) error {
 	if interval < 1 {
 		return core.ErrNonPositiveInterval
 	}
-	if e.state != core.StatePending {
-		return core.ErrTimerNotPending
-	}
-	if e.node.Attached() {
-		e.node.Detach()
+	e.Arm(s.nextID, s.now+interval)
+	s.nextID++
+	s.place(e)
+	return nil
+}
+
+// StopEntry implements core.EntryOps. An entry sitting in the current
+// firing batch is only marked stopped.
+func (s *Scheme) StopEntry(e *core.Entry) error {
+	placed, err := e.Stop()
+	if placed {
+		e.Node.Detach()
 		s.n--
 	}
-	e.when = s.now + interval
+	return err
+}
+
+// ResetEntry implements core.EntryOps: re-arm a pending entry in place.
+// An entry collected into the current firing batch but not yet fired
+// (a sibling callback is resetting it) leaves the batch and fires at
+// the new deadline — exactly once.
+func (s *Scheme) ResetEntry(e *core.Entry, interval core.Tick) error {
+	if interval < 1 {
+		return core.ErrNonPositiveInterval
+	}
+	placed, err := e.BeginReset()
+	if err != nil {
+		return err
+	}
+	if placed {
+		e.Node.Detach()
+		s.n--
+	}
+	e.When = s.now + interval
 	s.place(e)
 	return nil
 }
@@ -354,46 +236,33 @@ func (s *Scheme) Tick() int {
 		}
 		s.cost.Read(1)
 		s.cost.Compare(1)
-		if n.Value.when > s.now {
+		if n.Value.When > s.now {
 			break
 		}
 		s.cur.Remove(n)
-		s.n--
-		n.Value.inBatch = true
-		s.batch = append(s.batch, n.Value)
+		s.collect(n.Value)
 	}
 	// Young sweep: timers admitted into the current band after its sort.
 	for n := s.young.Front(); n != nil; {
 		next := n.Next()
 		s.cost.Read(1)
 		s.cost.Compare(1)
-		if n.Value.when <= s.now {
+		if n.Value.When <= s.now {
 			s.young.Remove(n)
-			s.n--
-			n.Value.inBatch = true
-			s.batch = append(s.batch, n.Value)
+			s.collect(n.Value)
 		}
 		n = next
 	}
-	fired := 0
-	for _, e := range s.batch {
-		e.inBatch = false
-		if e.node.Attached() {
-			// A sibling callback reset it in place: it is pending again
-			// at a new deadline and must not fire now.
-			continue
-		}
-		if e.state == core.StatePending {
-			e.state = core.StateFired
-			fired++
-			e.fire()
-		}
-		// Fired, or stopped by a sibling callback while in the batch.
-		if e.pooled {
-			s.release(e)
-		}
-	}
+	fired := core.FireBatch(s.batch)
+	clear(s.batch)
 	return fired
+}
+
+// collect moves an unlinked, due entry into this tick's firing batch.
+func (s *Scheme) collect(e *core.Entry) {
+	e.Collect()
+	s.batch = append(s.batch, e)
+	s.n--
 }
 
 // enterBand makes ep the current band: its slot's entries for exactly
@@ -414,7 +283,7 @@ func (s *Scheme) enterBand(ep int64) {
 		next := n.Next()
 		s.cost.Read(1)
 		s.cost.Compare(1) // epoch compare, the revolution filter
-		if s.epochOf(n.Value.when) == ep {
+		if s.epochOf(n.Value.When) == ep {
 			slot.Remove(n)
 			s.sortBuf = append(s.sortBuf, n.Value)
 		}
@@ -425,8 +294,8 @@ func (s *Scheme) enterBand(ep int64) {
 		// the band shares one deadline and any order is sorted order.
 		// That configuration is a Scheme 6 wheel with O(1) Reset.
 		if k > 1 && s.shift > 0 {
-			slices.SortFunc(s.sortBuf, func(a, b *entry) int {
-				return cmp.Compare(a.when, b.when)
+			slices.SortFunc(s.sortBuf, func(a, b *core.Entry) int {
+				return cmp.Compare(a.When, b.When)
 			})
 			// Charge the comparison sort: ~k·ceil(log2 k) compares.
 			s.cost.Compare(k * bits.Len(uint(k-1)))
@@ -434,7 +303,7 @@ func (s *Scheme) enterBand(ep int64) {
 		s.sorts++
 		s.sortedEntries += uint64(k)
 		for i, e := range s.sortBuf {
-			s.cur.PushBack(&e.node)
+			s.cur.PushBack(&e.Node)
 			s.sortBuf[i] = nil
 		}
 	}
@@ -456,16 +325,16 @@ func (s *Scheme) CheckInvariants() error {
 			return fmt.Errorf("gsq: slot %d link invariants violated", i)
 		}
 		var err error
-		s.slots[i].Do(func(n *ilist.Node[*entry]) {
+		s.slots[i].Do(func(n *ilist.Node[*core.Entry]) {
 			e := n.Value
-			ep := s.epochOf(e.when)
+			ep := s.epochOf(e.When)
 			switch {
-			case e.state != core.StatePending:
-				err = fmt.Errorf("gsq: slot %d holds %v entry id=%d", i, e.state, e.id)
+			case !e.Pending():
+				err = fmt.Errorf("gsq: slot %d holds %v entry id=%d", i, e.State(), e.ID())
 			case ep <= s.curEpoch:
-				err = fmt.Errorf("gsq: slot %d holds entry id=%d of non-future epoch %d (cur %d)", i, e.id, ep, s.curEpoch)
+				err = fmt.Errorf("gsq: slot %d holds entry id=%d of non-future epoch %d (cur %d)", i, e.ID(), ep, s.curEpoch)
 			case s.index(ep) != i:
-				err = fmt.Errorf("gsq: entry id=%d epoch %d hashed to slot %d, found in %d", e.id, ep, s.index(ep), i)
+				err = fmt.Errorf("gsq: entry id=%d epoch %d hashed to slot %d, found in %d", e.ID(), ep, s.index(ep), i)
 			}
 		})
 		if err != nil {
@@ -478,32 +347,32 @@ func (s *Scheme) CheckInvariants() error {
 	}
 	var err error
 	prev := core.Tick(-1 << 62)
-	s.cur.Do(func(n *ilist.Node[*entry]) {
+	s.cur.Do(func(n *ilist.Node[*core.Entry]) {
 		e := n.Value
 		switch {
-		case e.state != core.StatePending:
-			err = fmt.Errorf("gsq: cur holds %v entry id=%d", e.state, e.id)
-		case s.epochOf(e.when) != s.curEpoch:
-			err = fmt.Errorf("gsq: cur holds entry id=%d of epoch %d (cur %d)", e.id, s.epochOf(e.when), s.curEpoch)
-		case e.when <= s.now:
-			err = fmt.Errorf("gsq: cur holds already-due entry id=%d when=%d now=%d", e.id, e.when, s.now)
-		case e.when < prev:
-			err = fmt.Errorf("gsq: cur not sorted at entry id=%d", e.id)
+		case !e.Pending():
+			err = fmt.Errorf("gsq: cur holds %v entry id=%d", e.State(), e.ID())
+		case s.epochOf(e.When) != s.curEpoch:
+			err = fmt.Errorf("gsq: cur holds entry id=%d of epoch %d (cur %d)", e.ID(), s.epochOf(e.When), s.curEpoch)
+		case e.When <= s.now:
+			err = fmt.Errorf("gsq: cur holds already-due entry id=%d when=%d now=%d", e.ID(), e.When, s.now)
+		case e.When < prev:
+			err = fmt.Errorf("gsq: cur not sorted at entry id=%d", e.ID())
 		}
-		prev = e.when
+		prev = e.When
 	})
 	if err != nil {
 		return err
 	}
-	s.young.Do(func(n *ilist.Node[*entry]) {
+	s.young.Do(func(n *ilist.Node[*core.Entry]) {
 		e := n.Value
 		switch {
-		case e.state != core.StatePending:
-			err = fmt.Errorf("gsq: young holds %v entry id=%d", e.state, e.id)
-		case s.epochOf(e.when) != s.curEpoch:
-			err = fmt.Errorf("gsq: young holds entry id=%d of epoch %d (cur %d)", e.id, s.epochOf(e.when), s.curEpoch)
-		case e.when <= s.now:
-			err = fmt.Errorf("gsq: young holds already-due entry id=%d when=%d now=%d", e.id, e.when, s.now)
+		case !e.Pending():
+			err = fmt.Errorf("gsq: young holds %v entry id=%d", e.State(), e.ID())
+		case s.epochOf(e.When) != s.curEpoch:
+			err = fmt.Errorf("gsq: young holds entry id=%d of epoch %d (cur %d)", e.ID(), s.epochOf(e.When), s.curEpoch)
+		case e.When <= s.now:
+			err = fmt.Errorf("gsq: young holds already-due entry id=%d when=%d now=%d", e.ID(), e.When, s.now)
 		}
 	})
 	if err != nil {
@@ -523,9 +392,6 @@ func (s *Scheme) Now() core.Tick { return s.now }
 func (s *Scheme) Len() int { return s.n }
 
 var (
-	_ core.Facility       = (*Scheme)(nil)
-	_ core.PayloadStarter = (*Scheme)(nil)
-	_ core.IDStopper      = (*Scheme)(nil)
-	_ core.Resetter       = (*Scheme)(nil)
-	_ core.IDResetter     = (*Scheme)(nil)
+	_ core.EntryScheme = (*Scheme)(nil)
+	_ core.Resetter    = (*Scheme)(nil)
 )

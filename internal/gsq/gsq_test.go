@@ -44,13 +44,13 @@ func TestFireExactAcrossBands(t *testing.T) {
 func TestResetInPlaceKeepsEntryAndID(t *testing.T) {
 	s := New(8, 4, nil)
 	fired := 0
-	h, err := s.StartTimerPayload(10, nil, func(core.ID, any) { fired++ })
+	h, err := s.StartTimer(10, func(core.ID) { fired++ })
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := h.TimerID()
 	// Reset to later: same handle, same ID, new deadline.
-	if err := s.ResetTimerID(h, id, 20); err != nil {
+	if err := s.ResetTimer(h, 20); err != nil {
 		t.Fatal(err)
 	}
 	if h.TimerID() != id {
@@ -64,10 +64,10 @@ func TestResetInPlaceKeepsEntryAndID(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("fired=%d at the reset deadline, want 1", fired)
 	}
-	// The entry is recycled now: a stale reset against the old ID must
-	// be refused.
-	if err := s.ResetTimerID(h, id, 5); err != core.ErrTimerNotPending {
-		t.Fatalf("stale ResetTimerID: %v, want ErrTimerNotPending", err)
+	// The entry has fired: a late reset through the same handle must be
+	// refused.
+	if err := s.ResetTimer(h, 5); err != core.ErrTimerNotPending {
+		t.Fatalf("late ResetTimer: %v, want ErrTimerNotPending", err)
 	}
 }
 
@@ -157,36 +157,36 @@ func TestResetOfBatchResidentEntry(t *testing.T) {
 
 // TestStopThenResetOfBatchResidentEntry: a sibling callback stops a
 // batch-resident timer, then a reset on it must be refused, and the
-// pooled entry must be recycled exactly once.
+// stop must not be counted out of Len twice.
 func TestStopThenResetOfBatchResidentEntry(t *testing.T) {
 	s := New(8, 4, nil)
 	bFired := 0
-	h, err := s.StartTimerPayload(3, nil, func(core.ID, any) { bFired++ })
+	hb, err := s.StartTimer(3, func(core.ID) { bFired++ })
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb, idb := h, h.TimerID()
 	// Inserted after b, so this callback runs first (LIFO young list)
 	// with b batch-resident.
 	if _, err := s.StartTimer(3, func(core.ID) {
-		if err := s.StopTimerID(hb, idb); err != nil {
+		if err := s.StopTimer(hb); err != nil {
 			t.Errorf("reentrant stop: %v", err)
 		}
-		if err := s.ResetTimerID(hb, idb, 5); err != core.ErrTimerNotPending {
+		if err := s.ResetTimer(hb, 5); err != core.ErrTimerNotPending {
 			t.Errorf("reset after reentrant stop: %v, want ErrTimerNotPending", err)
 		}
 	}); err != nil {
 		t.Fatal(err)
 	}
-	advanceChecked(t, s, 10)
+	if _, err := s.StartTimer(8, func(core.ID) {}); err != nil {
+		t.Fatal(err)
+	}
+	advanceChecked(t, s, 3)
+	if s.Len() != 1 {
+		t.Fatalf("Len=%d after the batch, want 1 (only the bystander)", s.Len())
+	}
+	advanceChecked(t, s, 7)
 	if bFired != 0 {
 		t.Fatalf("stopped timer fired %d times", bFired)
-	}
-	// One release only: the free list must hand the entry back once.
-	a := s.acquire()
-	b := s.acquire()
-	if a == b {
-		t.Fatal("entry double-released onto the free list")
 	}
 }
 
@@ -239,11 +239,7 @@ func TestRandomOpsInvariants(t *testing.T) {
 	} {
 		s := New(cfg.bands, core.Tick(cfg.width), nil)
 		rng := rand.New(rand.NewSource(42))
-		type live struct {
-			h  core.Handle
-			id core.ID
-		}
-		var timers []live
+		var timers []core.Handle
 		started, fired, stopped := 0, 0, 0
 		count := func(core.ID) { fired++ }
 		for op := 0; op < 5000; op++ {
@@ -253,18 +249,18 @@ func TestRandomOpsInvariants(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				timers = append(timers, live{h, h.TimerID()})
+				timers = append(timers, h)
 				started++
 			case r < 6 && len(timers) > 0:
 				i := rng.Intn(len(timers))
-				if err := s.StopTimerID(timers[i].h, timers[i].id); err == nil {
+				if err := s.StopTimer(timers[i]); err == nil {
 					stopped++
 				}
 				timers[i] = timers[len(timers)-1]
 				timers = timers[:len(timers)-1]
 			case r < 8 && len(timers) > 0:
 				i := rng.Intn(len(timers))
-				err := s.ResetTimerID(timers[i].h, timers[i].id, core.Tick(1+rng.Intn(100)))
+				err := s.ResetTimer(timers[i], core.Tick(1+rng.Intn(100)))
 				if err != nil && err != core.ErrTimerNotPending {
 					t.Fatal(err)
 				}

@@ -30,45 +30,11 @@ import (
 	"timingwheels/internal/metrics"
 )
 
-// entry is one outstanding hashed-wheel timer.
-type entry struct {
-	id   core.ID
-	when core.Tick // absolute expiry, for Scheme 5 ordering and slot math
-	// rounds is Scheme 6's stored quotient: the number of times the
-	// cursor must pass this slot before the timer expires.
-	rounds  int64
-	cb      core.Callback
-	pcb     core.PayloadCallback // fast path: shared callback + payload
-	payload any
-	state   core.State
-	// pooled marks entries started through StartTimerPayload: they are
-	// recycled onto the table's free list as soon as they fire or are
-	// stopped. Plain StartTimer entries are never recycled, because
-	// their handles carry no ID guard against reuse.
-	pooled bool
-	owner  facility
-	node   ilist.Node[*entry]
-}
-
-// TimerID implements core.Handle.
-func (e *entry) TimerID() core.ID { return e.id }
-
-// fire runs the entry's expiry action through whichever callback form it
-// was started with.
-func (e *entry) fire() {
-	if e.pcb != nil {
-		e.pcb(e.id, e.payload)
-		return
-	}
-	e.cb(e.id)
-}
-
-// facility is the common identity type for handle-ownership checks.
-type facility interface{ core.Facility }
-
-// table is the shared slot array and index math of Schemes 5 and 6.
+// table is the shared slot array, index math, and entry lifecycle of
+// Schemes 5 and 6. Entries (core.Entry) are caller-owned; each variant
+// supplies only its placement rule.
 type table struct {
-	slots []ilist.List[*entry]
+	slots []ilist.List[*core.Entry]
 	// occ tracks non-empty slots so Advance can skip idle spans (an
 	// occupancy-bitmap extension the kernel descendants of this scheme
 	// use; see package bitmap).
@@ -79,41 +45,18 @@ type table struct {
 	nextID core.ID
 	n      int
 	cost   *metrics.Cost
-	// free is the entry free-list for the StartTimerPayload fast path.
-	// Entries parked here keep their last id and terminal state, so a
-	// stale StopTimerID against them fails cleanly until reuse assigns a
-	// fresh never-repeated id.
-	free []*entry
-}
-
-// acquire returns a recycled entry (reset to pending) or a fresh one.
-func (t *table) acquire() *entry {
-	if n := len(t.free); n > 0 {
-		e := t.free[n-1]
-		t.free[n-1] = nil
-		t.free = t.free[:n-1]
-		e.state = core.StatePending
-		return e
-	}
-	e := &entry{}
-	e.node.Value = e
-	return e
-}
-
-// release parks a pooled entry on the free list. The caller guarantees
-// the node is detached and the entry reached a terminal state.
-func (t *table) release(e *entry) {
-	e.cb = nil
-	e.pcb = nil
-	e.payload = nil
-	t.free = append(t.free, e)
+	batch  []*core.Entry
+	// place links an armed entry into the slot for its expiry: the
+	// variant's rule (Scheme 5 sorts it into the bucket, Scheme 6 stores
+	// its revolution count in Aux and pushes it).
+	place func(e *core.Entry)
 }
 
 func newTable(size int, cost *metrics.Cost) table {
 	if size < 1 {
 		panic(fmt.Sprintf("hashwheel: table size must be >= 1, got %d", size))
 	}
-	t := table{slots: make([]ilist.List[*entry], size), occ: bitmap.New(size), mask: -1, cost: cost}
+	t := table{slots: make([]ilist.List[*core.Entry], size), occ: bitmap.New(size), mask: -1, cost: cost}
 	if size&(size-1) == 0 {
 		t.mask = size - 1
 	}
@@ -137,7 +80,7 @@ func (t *table) index(when core.Tick) int {
 }
 
 // advance moves the cursor one slot and returns the slot to inspect.
-func (t *table) advance() *ilist.List[*entry] {
+func (t *table) advance() *ilist.List[*core.Entry] {
 	t.now++
 	t.cursor++
 	if t.cursor == len(t.slots) {
@@ -148,49 +91,82 @@ func (t *table) advance() *ilist.List[*entry] {
 	return &t.slots[t.cursor]
 }
 
-// pushSlot inserts a node at the head of slot i and marks it occupied.
-func (t *table) pushSlot(i int, n *ilist.Node[*entry]) {
-	t.slots[i].PushFront(n)
+// pushSlot inserts e at the head of slot i and marks it occupied.
+func (t *table) pushSlot(i int, e *core.Entry) {
+	t.slots[i].PushFront(&e.Node)
 	t.occ.Set(i)
 }
 
-// removeSlot unlinks a node from slot i, clearing the occupancy bit when
-// the slot empties.
-func (t *table) removeSlot(i int, n *ilist.Node[*entry]) {
-	t.slots[i].Remove(n)
-	if t.slots[i].Empty() {
-		t.occ.Clear(i)
-	}
+// StartTimer implements core.Facility: one entry, placed by the
+// variant's rule.
+func (t *table) StartTimer(interval core.Tick, cb core.Callback) (core.Handle, error) {
+	return core.StartTimer(t, interval, cb)
 }
 
-// stopEntry cancels an outstanding entry: shared STOP_TIMER logic for
-// every hashed-wheel variant. A pooled entry is recycled immediately
-// when it was still linked into a slot; an entry that is detached but
-// pending sits in a Tick batch, and the batch loop recycles it instead.
-func (t *table) stopEntry(e *entry) error {
-	if e.state != core.StatePending {
-		return core.ErrTimerNotPending
+// StopTimer unlinks the timer from its bucket in O(1).
+func (t *table) StopTimer(h core.Handle) error { return core.StopTimer(t, h) }
+
+// ResetTimer implements core.Resetter in place.
+func (t *table) ResetTimer(h core.Handle, interval core.Tick) error {
+	return core.ResetTimer(t, h, interval)
+}
+
+// StartEntry implements core.EntryOps.
+func (t *table) StartEntry(e *core.Entry, interval core.Tick) error {
+	if interval < 1 {
+		return core.ErrNonPositiveInterval
 	}
-	e.state = core.StateStopped
-	if e.node.Attached() {
-		t.removeSlot(t.index(e.when), &e.node)
-		t.n--
-		if e.pooled {
-			t.release(e)
-		}
-	}
+	e.Arm(t.nextID, t.now+interval)
+	t.nextID++
+	t.place(e)
+	t.n++
 	return nil
 }
 
-// stopEntryID is stopEntry guarded by the never-reused timer ID: a
-// handle whose entry has been recycled and reissued carries a different
-// id and fails with ErrTimerNotPending instead of cancelling the new
-// occupant.
-func (t *table) stopEntryID(e *entry, id core.ID) error {
-	if e.id != id {
-		return core.ErrTimerNotPending
+// StopEntry implements core.EntryOps: O(1) unlink from the bucket.
+func (t *table) StopEntry(e *core.Entry) error {
+	placed, err := e.Stop()
+	if placed {
+		t.unlink(e)
 	}
-	return t.stopEntry(e)
+	return err
+}
+
+// ResetEntry implements core.EntryOps: unlink, re-place, relink.
+func (t *table) ResetEntry(e *core.Entry, interval core.Tick) error {
+	if interval < 1 {
+		return core.ErrNonPositiveInterval
+	}
+	placed, err := e.BeginReset()
+	if err != nil {
+		return err
+	}
+	if placed {
+		t.unlink(e)
+	}
+	e.When = t.now + interval
+	t.place(e)
+	t.n++
+	return nil
+}
+
+// unlink removes a placed entry from its slot, clearing the occupancy
+// bit when the slot empties.
+func (t *table) unlink(e *core.Entry) {
+	i := t.index(e.When)
+	t.slots[i].Remove(&e.Node)
+	if t.slots[i].Empty() {
+		t.occ.Clear(i)
+	}
+	t.n--
+}
+
+// fireBatch runs the tick's collected entries.
+func (t *table) fireBatch() int {
+	fired := core.FireBatch(t.batch)
+	clear(t.batch)
+	t.batch = t.batch[:0]
+	return fired
 }
 
 // jumpTo moves the clock and cursor directly to time tk; every slot in
@@ -249,8 +225,8 @@ func (t *table) Cursor() int { return t.cursor }
 // hanging off each hash bucket.
 func (t *table) BucketRounds(i int) []int64 {
 	var out []int64
-	t.slots[i].Do(func(n *ilist.Node[*entry]) {
-		out = append(out, n.Value.rounds)
+	t.slots[i].Do(func(n *ilist.Node[*core.Entry]) {
+		out = append(out, n.Value.Aux)
 	})
 	return out
 }

@@ -35,46 +35,19 @@ type Scheme5 struct {
 // NewScheme5 returns a sorted-bucket hashed wheel with the given table
 // size, charging costs to cost (may be nil).
 func NewScheme5(size int, cost *metrics.Cost) *Scheme5 {
-	return &Scheme5{table: newTable(size, cost)}
+	s := &Scheme5{table: newTable(size, cost)}
+	s.place = s.sortIn
+	return s
 }
 
 // Name returns "scheme5".
 func (s *Scheme5) Name() string { return "scheme5" }
 
-// StartTimer hashes the expiry into a slot and walks that bucket to the
+// sortIn hashes the expiry into a slot and walks that bucket to the
 // sorted position (ascending expiry, FIFO on ties).
-func (s *Scheme5) StartTimer(interval core.Tick, cb core.Callback) (core.Handle, error) {
-	if err := core.CheckInterval(interval, cb); err != nil {
-		return nil, err
-	}
-	return s.insert(interval, cb, nil, nil, false), nil
-}
-
-// StartTimerPayload implements core.PayloadStarter: the sorted insert of
-// StartTimer, but the entry carries an opaque payload and is recycled on
-// the table's free list once it fires or is stopped.
-func (s *Scheme5) StartTimerPayload(interval core.Tick, payload any, cb core.PayloadCallback) (core.Handle, error) {
-	if cb == nil {
-		return nil, core.ErrNilCallback
-	}
-	if interval < 1 {
-		return nil, core.ErrNonPositiveInterval
-	}
-	return s.insert(interval, nil, cb, payload, true), nil
-}
-
-// insert sorts one validated timer into its bucket (ascending expiry,
-// FIFO on ties).
-func (s *Scheme5) insert(interval core.Tick, cb core.Callback, pcb core.PayloadCallback, payload any, pooled bool) *entry {
-	e := s.acquire()
-	e.id = s.nextID
-	s.nextID++
-	e.when = s.now + interval
-	e.rounds = 0
-	e.cb, e.pcb, e.payload = cb, pcb, payload
-	e.pooled = pooled
-	e.owner = s
-	bucket := &s.slots[s.index(e.when)]
+func (s *Scheme5) sortIn(e *core.Entry) {
+	i := s.index(e.When)
+	bucket := &s.slots[i]
 	s.cost.Read(1)
 	steps := uint64(0)
 	inserted := false
@@ -82,39 +55,18 @@ func (s *Scheme5) insert(interval core.Tick, cb core.Callback, pcb core.PayloadC
 		steps++
 		s.cost.Read(1)
 		s.cost.Compare(1)
-		if n.Value.when > e.when {
-			bucket.InsertBefore(&e.node, n)
+		if n.Value.When > e.When {
+			bucket.InsertBefore(&e.Node, n)
 			inserted = true
 			break
 		}
 	}
 	if !inserted {
-		bucket.PushBack(&e.node)
+		bucket.PushBack(&e.Node)
 	}
-	s.occ.Set(s.index(e.when))
+	s.occ.Set(i)
 	s.SearchSteps += steps
 	s.Starts++
-	s.n++
-	return e
-}
-
-// StopTimer unlinks the timer from its bucket in O(1).
-func (s *Scheme5) StopTimer(h core.Handle) error {
-	e, ok := h.(*entry)
-	if !ok || e.owner != s {
-		return core.ErrForeignHandle
-	}
-	return s.stopEntry(e)
-}
-
-// StopTimerID implements core.IDStopper: StopTimer guarded against
-// recycled-handle ABA by the never-reused timer ID.
-func (s *Scheme5) StopTimerID(h core.Handle, id core.ID) error {
-	e, ok := h.(*entry)
-	if !ok || e.owner != s {
-		return core.ErrForeignHandle
-	}
-	return s.stopEntryID(e, id)
 }
 
 // Tick advances the cursor and, as in Scheme 2, inspects only the head of
@@ -130,7 +82,7 @@ func (s *Scheme5) Tick() int {
 		s.cost.Read(1)
 		s.cost.Compare(1)
 		e := head.Value
-		if e.when > s.now {
+		if e.When > s.now {
 			return fired
 		}
 		slot.Remove(head)
@@ -138,13 +90,9 @@ func (s *Scheme5) Tick() int {
 			s.occ.Clear(s.cursor)
 		}
 		s.n--
-		if e.state == core.StatePending {
-			e.state = core.StateFired
+		e.Collect()
+		if e.Fire() {
 			fired++
-			e.fire()
-		}
-		if e.pooled {
-			s.release(e)
 		}
 	}
 }
@@ -167,11 +115,11 @@ func (s *Scheme5) CheckInvariants() bool {
 		}
 		prev := core.Tick(-1 << 62)
 		ok := true
-		s.slots[i].Do(func(n *ilist.Node[*entry]) {
-			if n.Value.when < prev {
+		s.slots[i].Do(func(n *ilist.Node[*core.Entry]) {
+			if n.Value.When < prev {
 				ok = false
 			}
-			prev = n.Value.when
+			prev = n.Value.When
 		})
 		if !ok {
 			return false
@@ -181,7 +129,6 @@ func (s *Scheme5) CheckInvariants() bool {
 }
 
 var (
-	_ core.Facility       = (*Scheme5)(nil)
-	_ core.PayloadStarter = (*Scheme5)(nil)
-	_ core.IDStopper      = (*Scheme5)(nil)
+	_ core.EntryScheme = (*Scheme5)(nil)
+	_ core.Resetter    = (*Scheme5)(nil)
 )

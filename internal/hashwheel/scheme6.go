@@ -17,84 +17,37 @@ import (
 //	                       is n/TableSize regardless of hash spread.
 type Scheme6 struct {
 	table
-	batch []*entry
 }
 
 // NewScheme6 returns an unsorted-bucket hashed wheel with the given table
 // size, charging costs to cost (may be nil). Power-of-two sizes use the
 // AND-mask index the paper recommends.
 func NewScheme6(size int, cost *metrics.Cost) *Scheme6 {
-	return &Scheme6{table: newTable(size, cost)}
+	s := &Scheme6{table: newTable(size, cost)}
+	s.place = s.hashIn
+	return s
 }
 
 // Name returns "scheme6".
 func (s *Scheme6) Name() string { return "scheme6" }
 
-// rounds computes the stored quotient for an interval d: the number of
-// cursor passes over the slot before the pass on which the timer fires.
-// For d an exact multiple of the table size the slot equals the cursor
-// position and the first pass happens a full revolution later, so the
-// quotient is (d-1)/size rather than the naive d/size.
+// roundsFor computes the stored quotient for an interval d: the number
+// of cursor passes over the slot before the pass on which the timer
+// fires. For d an exact multiple of the table size the slot equals the
+// cursor position and the first pass happens a full revolution later,
+// so the quotient is (d-1)/size rather than the naive d/size.
 func (s *Scheme6) roundsFor(d core.Tick) int64 {
 	return int64((d - 1) / core.Tick(s.Size()))
 }
 
-// StartTimer hashes the expiry into a slot and pushes the timer at the
-// head of that slot's unordered list: O(1) always.
-func (s *Scheme6) StartTimer(interval core.Tick, cb core.Callback) (core.Handle, error) {
-	if err := core.CheckInterval(interval, cb); err != nil {
-		return nil, err
-	}
-	return s.insert(interval, cb, nil, nil, false), nil
-}
-
-// StartTimerPayload implements core.PayloadStarter: like StartTimer, but
-// the entry carries an opaque payload, fires through the shared cb, and
-// is recycled on the facility's free list at fire/stop time.
-func (s *Scheme6) StartTimerPayload(interval core.Tick, payload any, cb core.PayloadCallback) (core.Handle, error) {
-	if cb == nil {
-		return nil, core.ErrNilCallback
-	}
-	if interval < 1 {
-		return nil, core.ErrNonPositiveInterval
-	}
-	return s.insert(interval, nil, cb, payload, true), nil
-}
-
-// insert links one validated timer into its slot.
-func (s *Scheme6) insert(interval core.Tick, cb core.Callback, pcb core.PayloadCallback, payload any, pooled bool) *entry {
-	e := s.acquire()
-	e.id = s.nextID
-	s.nextID++
-	e.when = s.now + interval
-	e.rounds = s.roundsFor(interval)
-	e.cb, e.pcb, e.payload = cb, pcb, payload
-	e.pooled = pooled
-	e.owner = s
+// hashIn hashes the expiry into a slot, stores the quotient in Aux, and
+// pushes the timer at the head of that slot's unordered list: O(1)
+// always.
+func (s *Scheme6) hashIn(e *core.Entry) {
+	e.Aux = s.roundsFor(e.When - s.now)
 	s.cost.Read(1)  // slot header
 	s.cost.Write(1) // store high-order bits
-	s.pushSlot(s.index(e.when), &e.node)
-	s.n++
-	return e
-}
-
-// StopTimer unlinks the timer from its bucket in O(1).
-func (s *Scheme6) StopTimer(h core.Handle) error {
-	e, ok := h.(*entry)
-	if !ok || e.owner != s {
-		return core.ErrForeignHandle
-	}
-	return s.stopEntry(e)
-}
-
-// StopTimerID implements core.IDStopper: StopTimer guarded against
-// recycled-handle ABA by the never-reused timer ID.
-func (s *Scheme6) StopTimerID(h core.Handle, id core.ID) error {
-	e, ok := h.(*entry)
-	if !ok || e.owner != s {
-		return core.ErrForeignHandle
-	}
-	return s.stopEntryID(e, id)
+	s.pushSlot(s.index(e.When), e)
 }
 
 // Tick advances the cursor; if there is a list in the new slot, it
@@ -105,37 +58,26 @@ func (s *Scheme6) Tick() int {
 	if slot.Empty() {
 		return 0
 	}
-	s.batch = s.batch[:0]
 	for n := slot.Front(); n != nil; {
 		next := n.Next()
 		e := n.Value
 		s.cost.Read(1)
 		s.cost.Compare(1)
-		if e.rounds == 0 {
+		if e.Aux == 0 {
 			slot.Remove(n)
 			s.n--
+			e.Collect()
 			s.batch = append(s.batch, e)
 		} else {
 			s.cost.Write(1)
-			e.rounds--
+			e.Aux--
 		}
 		n = next
 	}
 	if slot.Empty() {
 		s.occ.Clear(s.cursor)
 	}
-	fired := 0
-	for _, e := range s.batch {
-		if e.state == core.StatePending {
-			e.state = core.StateFired
-			fired++
-			e.fire()
-		}
-		if e.pooled {
-			s.release(e)
-		}
-	}
-	return fired
+	return s.fireBatch()
 }
 
 // Advance implements core.Advancer: the cursor jumps between occupied
@@ -158,10 +100,9 @@ func (s *Scheme6) Advance(n core.Tick) int {
 }
 
 var (
-	_ core.Facility       = (*Scheme6)(nil)
-	_ core.Advancer       = (*Scheme6)(nil)
-	_ core.PayloadStarter = (*Scheme6)(nil)
-	_ core.IDStopper      = (*Scheme6)(nil)
+	_ core.EntryScheme = (*Scheme6)(nil)
+	_ core.Resetter    = (*Scheme6)(nil)
+	_ core.Advancer    = (*Scheme6)(nil)
 )
 
 // Scheme6Absolute is the ablation variant of Scheme 6 that stores the
@@ -171,69 +112,23 @@ var (
 // trades a wider stored field for fewer memory writes.
 type Scheme6Absolute struct {
 	table
-	batch []*entry
 }
 
 // NewScheme6Absolute returns the COMPARE-variant hashed wheel.
 func NewScheme6Absolute(size int, cost *metrics.Cost) *Scheme6Absolute {
-	return &Scheme6Absolute{table: newTable(size, cost)}
+	s := &Scheme6Absolute{table: newTable(size, cost)}
+	s.place = s.hashIn
+	return s
 }
 
 // Name returns "scheme6-abs".
 func (s *Scheme6Absolute) Name() string { return "scheme6-abs" }
 
-// StartTimer hashes the expiry into a slot in O(1).
-func (s *Scheme6Absolute) StartTimer(interval core.Tick, cb core.Callback) (core.Handle, error) {
-	if err := core.CheckInterval(interval, cb); err != nil {
-		return nil, err
-	}
-	return s.insert(interval, cb, nil, nil, false), nil
-}
-
-// StartTimerPayload implements core.PayloadStarter (see Scheme6).
-func (s *Scheme6Absolute) StartTimerPayload(interval core.Tick, payload any, cb core.PayloadCallback) (core.Handle, error) {
-	if cb == nil {
-		return nil, core.ErrNilCallback
-	}
-	if interval < 1 {
-		return nil, core.ErrNonPositiveInterval
-	}
-	return s.insert(interval, nil, cb, payload, true), nil
-}
-
-// insert links one validated timer into its slot.
-func (s *Scheme6Absolute) insert(interval core.Tick, cb core.Callback, pcb core.PayloadCallback, payload any, pooled bool) *entry {
-	e := s.acquire()
-	e.id = s.nextID
-	s.nextID++
-	e.when = s.now + interval
-	e.rounds = 0
-	e.cb, e.pcb, e.payload = cb, pcb, payload
-	e.pooled = pooled
-	e.owner = s
+// hashIn hashes the absolute expiry into a slot in O(1).
+func (s *Scheme6Absolute) hashIn(e *core.Entry) {
 	s.cost.Read(1)
 	s.cost.Write(1)
-	s.pushSlot(s.index(e.when), &e.node)
-	s.n++
-	return e
-}
-
-// StopTimer unlinks the timer from its bucket in O(1).
-func (s *Scheme6Absolute) StopTimer(h core.Handle) error {
-	e, ok := h.(*entry)
-	if !ok || e.owner != s {
-		return core.ErrForeignHandle
-	}
-	return s.stopEntry(e)
-}
-
-// StopTimerID implements core.IDStopper (see Scheme6).
-func (s *Scheme6Absolute) StopTimerID(h core.Handle, id core.ID) error {
-	e, ok := h.(*entry)
-	if !ok || e.owner != s {
-		return core.ErrForeignHandle
-	}
-	return s.stopEntryID(e, id)
+	s.pushSlot(s.index(e.When), e)
 }
 
 // Tick compares the absolute expiry of every element in the slot against
@@ -243,15 +138,15 @@ func (s *Scheme6Absolute) Tick() int {
 	if slot.Empty() {
 		return 0
 	}
-	s.batch = s.batch[:0]
 	for n := slot.Front(); n != nil; {
 		next := n.Next()
 		e := n.Value
 		s.cost.Read(1)
 		s.cost.Compare(1)
-		if e.when <= s.now {
+		if e.When <= s.now {
 			slot.Remove(n)
 			s.n--
+			e.Collect()
 			s.batch = append(s.batch, e)
 		}
 		n = next
@@ -259,18 +154,7 @@ func (s *Scheme6Absolute) Tick() int {
 	if slot.Empty() {
 		s.occ.Clear(s.cursor)
 	}
-	fired := 0
-	for _, e := range s.batch {
-		if e.state == core.StatePending {
-			e.state = core.StateFired
-			fired++
-			e.fire()
-		}
-		if e.pooled {
-			s.release(e)
-		}
-	}
-	return fired
+	return s.fireBatch()
 }
 
 // Advance implements core.Advancer by skipping empty slots.
@@ -290,8 +174,7 @@ func (s *Scheme6Absolute) Advance(n core.Tick) int {
 }
 
 var (
-	_ core.Facility       = (*Scheme6Absolute)(nil)
-	_ core.Advancer       = (*Scheme6Absolute)(nil)
-	_ core.PayloadStarter = (*Scheme6Absolute)(nil)
-	_ core.IDStopper      = (*Scheme6Absolute)(nil)
+	_ core.EntryScheme = (*Scheme6Absolute)(nil)
+	_ core.Resetter    = (*Scheme6Absolute)(nil)
+	_ core.Advancer    = (*Scheme6Absolute)(nil)
 )

@@ -62,42 +62,26 @@ func (p Policy) String() string {
 	}
 }
 
-// entry is one outstanding hierarchical timer.
-type entry struct {
-	id      core.ID
-	when    core.Tick // expiry after any policy rounding
-	cb      core.Callback
-	pcb     core.PayloadCallback // fast path: shared callback + payload
-	payload any
-	state   core.State
-	// pooled marks entries started through StartTimerPayload: they are
-	// recycled onto the scheme's free list as soon as they fire or are
-	// stopped. Plain StartTimer entries are never recycled.
-	pooled bool
-	owner  *Scheme7
-	node   ilist.Node[*entry]
-	moves  int // migrations performed so far
-	// lvl and slot locate the entry for occupancy-bit maintenance; they
-	// change on every migration.
-	lvl, slot int
+// An entry's Aux word locates it for occupancy-bit maintenance and
+// counts its migrations: the slot in the low 32 bits, the level in the
+// next 16, and the migrations above. Level and slot change on every
+// migration.
+const (
+	auxLevelShift = 32
+	auxMovesShift = 48
+)
+
+// where reports the level and slot holding e.
+func where(e *core.Entry) (lvl, slot int) {
+	return int(uint16(e.Aux >> auxLevelShift)), int(uint32(e.Aux))
 }
 
-// TimerID implements core.Handle.
-func (e *entry) TimerID() core.ID { return e.id }
-
-// fire runs the entry's expiry action through whichever callback form it
-// was started with.
-func (e *entry) fire() {
-	if e.pcb != nil {
-		e.pcb(e.id, e.payload)
-		return
-	}
-	e.cb(e.id)
-}
+// moves reports how many migrations e has performed.
+func moves(e *core.Entry) int { return int(e.Aux >> auxMovesShift) }
 
 // level is one wheel in the hierarchy.
 type level struct {
-	slots []ilist.List[*entry]
+	slots []ilist.List[*core.Entry]
 	occ   *bitmap.Set // which slots are non-empty (idle-skip support)
 	gran  core.Tick   // ticks per slot: product of radices below
 	span  core.Tick   // ticks per revolution: gran * len(slots)
@@ -111,10 +95,7 @@ type Scheme7 struct {
 	nextID core.ID
 	n      int
 	cost   *metrics.Cost
-	batch  []*entry
-	// free is the entry free-list for the StartTimerPayload fast path
-	// (see core.PayloadStarter for the recycling contract).
-	free []*entry
+	batch  []*core.Entry
 
 	// Migrations counts timer moves between levels, the c(7)*m work term
 	// of the section 6.2 cost comparison (experiments E7/E8).
@@ -124,29 +105,6 @@ type Scheme7 struct {
 // MigrationCount reports Migrations through the optional gauge interface
 // the timer runtime's Snapshot probes for.
 func (s *Scheme7) MigrationCount() uint64 { return s.Migrations }
-
-// acquire returns a recycled entry (reset to pending) or a fresh one.
-func (s *Scheme7) acquire() *entry {
-	if n := len(s.free); n > 0 {
-		e := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		e.state = core.StatePending
-		return e
-	}
-	e := &entry{}
-	e.node.Value = e
-	return e
-}
-
-// release parks a pooled entry on the free list. The caller guarantees
-// the node is detached and the entry reached a terminal state.
-func (s *Scheme7) release(e *entry) {
-	e.cb = nil
-	e.pcb = nil
-	e.payload = nil
-	s.free = append(s.free, e)
-}
 
 // DayRadices is the paper's worked example: a seconds wheel, a minutes
 // wheel, an hours wheel, and a days wheel spanning 100 days in 244 slots.
@@ -172,7 +130,7 @@ func NewScheme7(radices []int, policy Policy, cost *metrics.Cost) *Scheme7 {
 		}
 		lv := &s.levels[i]
 		lv.gran = gran
-		lv.slots = make([]ilist.List[*entry], r)
+		lv.slots = make([]ilist.List[*core.Entry], r)
 		lv.occ = bitmap.New(r)
 		for j := range lv.slots {
 			lv.slots[j].Init(cost)
@@ -223,16 +181,27 @@ func (s *Scheme7) levelFor(diff core.Tick) int {
 	return -1
 }
 
-// place links e into the correct slot for its (possibly rounded) expiry.
-// The caller guarantees e.when > s.now and e.when - s.now <= MaxInterval.
-func (s *Scheme7) place(e *entry) {
-	k := s.levelFor(e.when - s.now)
+// place links e into the correct slot for its (possibly rounded) expiry,
+// keeping its migration count. The caller guarantees e.When > s.now and
+// e.When - s.now <= MaxInterval.
+func (s *Scheme7) place(e *core.Entry) {
+	k := s.levelFor(e.When - s.now)
 	lv := &s.levels[k]
-	slot := int((e.when / lv.gran) % core.Tick(len(lv.slots)))
+	slot := int((e.When / lv.gran) % core.Tick(len(lv.slots)))
 	s.cost.Read(1)
-	lv.slots[slot].PushFront(&e.node)
+	lv.slots[slot].PushFront(&e.Node)
 	lv.occ.Set(slot)
-	e.lvl, e.slot = k, slot
+	e.Aux = int64(moves(e))<<auxMovesShift | int64(k)<<auxLevelShift | int64(slot)
+}
+
+// unlink detaches a placed entry from whichever level holds it.
+func (s *Scheme7) unlink(e *core.Entry) {
+	lvl, slot := where(e)
+	e.Node.Detach()
+	if s.levels[lvl].slots[slot].Empty() {
+		s.levels[lvl].occ.Clear(slot)
+	}
+	s.n--
 }
 
 // roundFor rounds when to the nearest slot boundary of the level that
@@ -263,91 +232,79 @@ func (s *Scheme7) roundFor(when core.Tick) core.Tick {
 // and inserts the timer into the coarsest wheel whose slot width its
 // remaining time spans.
 func (s *Scheme7) StartTimer(interval core.Tick, cb core.Callback) (core.Handle, error) {
-	if err := core.CheckInterval(interval, cb); err != nil {
-		return nil, err
-	}
-	if interval > s.MaxInterval() {
-		return nil, core.ErrIntervalOutOfRange
-	}
-	return s.insert(interval, cb, nil, nil, false), nil
-}
-
-// StartTimerPayload implements core.PayloadStarter: like StartTimer, but
-// the entry carries an opaque payload, fires through the shared cb, and
-// is recycled on the scheme's free list at fire/stop time.
-func (s *Scheme7) StartTimerPayload(interval core.Tick, payload any, cb core.PayloadCallback) (core.Handle, error) {
-	if cb == nil {
-		return nil, core.ErrNilCallback
-	}
-	if interval < 1 {
-		return nil, core.ErrNonPositiveInterval
-	}
-	if interval > s.MaxInterval() {
-		return nil, core.ErrIntervalOutOfRange
-	}
-	return s.insert(interval, nil, cb, payload, true), nil
-}
-
-// insert places one validated timer into the hierarchy.
-func (s *Scheme7) insert(interval core.Tick, cb core.Callback, pcb core.PayloadCallback, payload any, pooled bool) *entry {
-	e := s.acquire()
-	e.id = s.nextID
-	s.nextID++
-	e.when = s.now + interval
-	e.cb, e.pcb, e.payload = cb, pcb, payload
-	e.pooled = pooled
-	e.owner = s
-	e.moves = 0
-	if s.policy == MigrateNever {
-		e.when = s.roundFor(e.when)
-	}
-	s.cost.Write(1) // store the remainder with the timer record
-	s.place(e)
-	s.n++
-	return e
+	return core.StartTimer(s, interval, cb)
 }
 
 // StopTimer detaches the timer from whichever level currently holds it,
 // in O(1).
-func (s *Scheme7) StopTimer(h core.Handle) error {
-	e, ok := h.(*entry)
-	if !ok || e.owner != s {
-		return core.ErrForeignHandle
-	}
-	return s.stopEntry(e)
+func (s *Scheme7) StopTimer(h core.Handle) error { return core.StopTimer(s, h) }
+
+// ResetTimer implements core.Resetter in place.
+func (s *Scheme7) ResetTimer(h core.Handle, interval core.Tick) error {
+	return core.ResetTimer(s, h, interval)
 }
 
-// StopTimerID implements core.IDStopper: StopTimer guarded against
-// recycled-handle ABA by the never-reused timer ID.
-func (s *Scheme7) StopTimerID(h core.Handle, id core.ID) error {
-	e, ok := h.(*entry)
-	if !ok || e.owner != s {
-		return core.ErrForeignHandle
+// checkInterval reports the error StartEntry and ResetEntry share for an
+// interval the hierarchy cannot hold.
+func (s *Scheme7) checkInterval(interval core.Tick) error {
+	if interval < 1 {
+		return core.ErrNonPositiveInterval
 	}
-	if e.id != id {
-		return core.ErrTimerNotPending
-	}
-	return s.stopEntry(e)
-}
-
-// stopEntry is the shared STOP_TIMER logic. A pooled entry still linked
-// into a slot is recycled immediately; one that is detached but pending
-// sits in a Tick batch, and the batch loop recycles it instead.
-func (s *Scheme7) stopEntry(e *entry) error {
-	if e.state != core.StatePending {
-		return core.ErrTimerNotPending
-	}
-	e.state = core.StateStopped
-	if e.node.Detach() {
-		if s.levels[e.lvl].slots[e.slot].Empty() {
-			s.levels[e.lvl].occ.Clear(e.slot)
-		}
-		s.n--
-		if e.pooled {
-			s.release(e)
-		}
+	if interval > s.MaxInterval() {
+		return core.ErrIntervalOutOfRange
 	}
 	return nil
+}
+
+// StartEntry implements core.EntryOps.
+func (s *Scheme7) StartEntry(e *core.Entry, interval core.Tick) error {
+	if err := s.checkInterval(interval); err != nil {
+		return err
+	}
+	e.Arm(s.nextID, s.now+interval)
+	s.nextID++
+	s.rearm(e)
+	return nil
+}
+
+// StopEntry implements core.EntryOps.
+func (s *Scheme7) StopEntry(e *core.Entry) error {
+	placed, err := e.Stop()
+	if placed {
+		s.unlink(e)
+	}
+	return err
+}
+
+// ResetEntry implements core.EntryOps: unlink, then re-enter the
+// hierarchy at the level the new interval calls for, with a fresh
+// migration count.
+func (s *Scheme7) ResetEntry(e *core.Entry, interval core.Tick) error {
+	if err := s.checkInterval(interval); err != nil {
+		return err
+	}
+	placed, err := e.BeginReset()
+	if err != nil {
+		return err
+	}
+	if placed {
+		s.unlink(e)
+	}
+	e.When = s.now + interval
+	s.rearm(e)
+	return nil
+}
+
+// rearm places an entry whose When was just set, as a new admission:
+// zero migrations, the policy's rounding applied.
+func (s *Scheme7) rearm(e *core.Entry) {
+	e.Aux = 0
+	if s.policy == MigrateNever {
+		e.When = s.roundFor(e.When)
+	}
+	s.cost.Write(1) // store the remainder with the timer record
+	s.place(e)
+	s.n++
 }
 
 // Tick advances the clock, cascades any coarser wheels whose slot
@@ -390,51 +347,41 @@ func (s *Scheme7) Tick() int {
 	if !lv0.slots[slot].Empty() {
 		for n := lv0.slots[slot].TakeChain(); n != nil; {
 			next := n.Unchain()
-			s.batch = append(s.batch, n.Value)
-			s.n-- // detached entries no longer count as outstanding
+			s.collect(n.Value)
 			n = next
 		}
 		lv0.occ.Clear(slot)
 	}
 
-	fired := 0
-	for _, e := range s.batch {
-		if e.state == core.StatePending {
-			e.state = core.StateFired
-			fired++
-			e.fire()
-		}
-		if e.pooled {
-			s.release(e)
-		}
-	}
+	fired := core.FireBatch(s.batch)
+	clear(s.batch)
 	return fired
+}
+
+// collect moves an unlinked, due entry into this tick's firing batch.
+func (s *Scheme7) collect(e *core.Entry) {
+	e.Collect()
+	s.batch = append(s.batch, e)
+	s.n-- // collected entries no longer count as outstanding
 }
 
 // cascade handles one timer found in a cascading slot: fire it if due,
 // otherwise migrate it toward the finest wheel per the policy.
-func (s *Scheme7) cascade(e *entry) {
-	if e.state != core.StatePending {
-		// Stopped while attached is impossible (stop detaches), but a
-		// defensive skip keeps the invariant local.
-		return
-	}
+func (s *Scheme7) cascade(e *core.Entry) {
 	s.cost.Read(1)
 	s.cost.Compare(1)
-	if e.when <= s.now {
-		s.batch = append(s.batch, e)
-		s.n--
+	if e.When <= s.now {
+		s.collect(e)
 		return
 	}
 	s.Migrations++
-	e.moves++
-	if s.policy == MigrateOnce && e.moves == 1 {
+	e.Aux += 1 << auxMovesShift
+	if s.policy == MigrateOnce && moves(e) == 1 {
 		// One precise migration to the level the remaining time calls
 		// for, rounded to that level's granularity so it fires there.
-		e.when = s.roundFor(e.when)
-		if e.when <= s.now {
-			s.batch = append(s.batch, e)
-			s.n--
+		e.When = s.roundFor(e.When)
+		if e.When <= s.now {
+			s.collect(e)
 			return
 		}
 	}
@@ -486,13 +433,16 @@ func (s *Scheme7) CheckInvariants() bool {
 				return false
 			}
 			ok := true
-			lv.slots[j].Do(func(n *ilist.Node[*entry]) {
+			lv.slots[j].Do(func(n *ilist.Node[*core.Entry]) {
 				e := n.Value
 				count++
-				if e.when <= s.now {
+				if e.When <= s.now {
 					ok = false
 				}
-				if int((e.when/lv.gran)%core.Tick(len(lv.slots))) != j {
+				if int((e.When/lv.gran)%core.Tick(len(lv.slots))) != j {
+					ok = false
+				}
+				if l, sl := where(e); l != k || sl != j {
 					ok = false
 				}
 			})
@@ -561,8 +511,7 @@ func (s *Scheme7) Advance(n core.Tick) int {
 }
 
 var (
-	_ core.Facility       = (*Scheme7)(nil)
-	_ core.Advancer       = (*Scheme7)(nil)
-	_ core.PayloadStarter = (*Scheme7)(nil)
-	_ core.IDStopper      = (*Scheme7)(nil)
+	_ core.EntryScheme = (*Scheme7)(nil)
+	_ core.Resetter    = (*Scheme7)(nil)
+	_ core.Advancer    = (*Scheme7)(nil)
 )

@@ -7,8 +7,9 @@
 // Timers due within the wheel's range go straight into a Scheme 4
 // bucket; longer timers wait in a min-heap keyed by absolute expiry (a
 // Scheme 3 stand-in for the paper's Scheme 2 — same role, better
-// asymptotics) and migrate into the wheel once they come within range.
-// PER_TICK_BOOKKEEPING pays the wheel's O(1) plus a single heap-min
+// asymptotics; the heap indexes the entries themselves, so a long timer
+// costs no allocation beyond its entry) and migrate into the wheel once
+// they come within range. PER_TICK_BOOKKEEPING pays the wheel's O(1) plus a single heap-min
 // comparison; each long timer migrates exactly once.
 //
 //	START_TIMER            O(1) short, O(log k) long (k = long timers)
@@ -23,62 +24,22 @@ import (
 	"timingwheels/internal/core"
 	"timingwheels/internal/ilist"
 	"timingwheels/internal/metrics"
-	"timingwheels/internal/pq"
 )
 
-// location tracks which structure currently holds a timer.
-type location uint8
-
-const (
-	inWheel location = iota
-	inOverflow
-)
-
-// entry is one outstanding hybrid timer.
-type entry struct {
-	id      core.ID
-	when    core.Tick
-	cb      core.Callback
-	pcb     core.PayloadCallback // fast path: shared callback + payload
-	payload any
-	state   core.State
-	// pooled marks entries started through StartTimerPayload: they are
-	// recycled onto the scheme's free list as soon as they fire or are
-	// stopped. Plain StartTimer entries are never recycled.
-	pooled bool
-	owner  *Scheme
-	loc    location
-	node   ilist.Node[*entry] // wheel linkage
-	hd     pq.Handle          // overflow linkage
-}
-
-// TimerID implements core.Handle.
-func (e *entry) TimerID() core.ID { return e.id }
-
-// fire runs the entry's expiry action through whichever callback form it
-// was started with.
-func (e *entry) fire() {
-	if e.pcb != nil {
-		e.pcb(e.id, e.payload)
-		return
-	}
-	e.cb(e.id)
-}
-
-// Scheme is the hybrid wheel + overflow-heap facility.
+// Scheme is the hybrid wheel + overflow-heap facility. Entries
+// (core.Entry) are caller-owned; an entry's Aux word is its position in
+// the overflow heap plus one while it waits there, and zero in the
+// wheel.
 type Scheme struct {
-	slots    []ilist.List[*entry]
+	slots    []ilist.List[*core.Entry]
 	occ      *bitmap.Set
-	overflow *pq.Heap[*entry]
+	overflow overflowHeap
 	cursor   int
 	now      core.Tick
 	nextID   core.ID
 	n        int
 	cost     *metrics.Cost
-	batch    []*entry
-	// free is the entry free-list for the StartTimerPayload fast path
-	// (see core.PayloadStarter for the recycling contract).
-	free []*entry
+	batch    []*core.Entry
 
 	// Migrations counts long timers moved from the overflow heap into
 	// the wheel (each long timer migrates exactly once).
@@ -89,31 +50,6 @@ type Scheme struct {
 // the timer runtime's Snapshot probes for.
 func (s *Scheme) MigrationCount() uint64 { return s.Migrations }
 
-// acquire returns a recycled entry (reset to pending) or a fresh one.
-func (s *Scheme) acquire() *entry {
-	if n := len(s.free); n > 0 {
-		e := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		e.state = core.StatePending
-		return e
-	}
-	e := &entry{}
-	e.node.Value = e
-	return e
-}
-
-// release parks a pooled entry on the free list. The caller guarantees
-// the node is detached from both structures and the entry reached a
-// terminal state.
-func (s *Scheme) release(e *entry) {
-	e.cb = nil
-	e.pcb = nil
-	e.payload = nil
-	e.hd = nil
-	s.free = append(s.free, e)
-}
-
 // New returns a hybrid facility whose wheel covers intervals up to
 // size ticks; anything longer is parked in the overflow heap. Size must
 // be at least 1.
@@ -122,9 +58,9 @@ func New(size int, cost *metrics.Cost) *Scheme {
 		panic(fmt.Sprintf("hybrid: size must be >= 1, got %d", size))
 	}
 	s := &Scheme{
-		slots:    make([]ilist.List[*entry], size),
+		slots:    make([]ilist.List[*core.Entry], size),
 		occ:      bitmap.New(size),
-		overflow: pq.NewHeap[*entry](cost),
+		overflow: overflowHeap{cost: cost},
 		cost:     cost,
 	}
 	for i := range s.slots {
@@ -146,7 +82,7 @@ func (s *Scheme) Now() core.Tick { return s.now }
 func (s *Scheme) Len() int { return s.n }
 
 // OverflowLen reports the number of timers parked beyond wheel range.
-func (s *Scheme) OverflowLen() int { return s.overflow.Len() }
+func (s *Scheme) OverflowLen() int { return s.overflow.len() }
 
 // slotFor returns the wheel slot for an absolute expiry within range.
 func (s *Scheme) slotFor(when core.Tick) int {
@@ -156,101 +92,88 @@ func (s *Scheme) slotFor(when core.Tick) int {
 // StartTimer places the timer in the wheel if it is due within
 // WheelRange ticks, else in the overflow heap.
 func (s *Scheme) StartTimer(interval core.Tick, cb core.Callback) (core.Handle, error) {
-	if err := core.CheckInterval(interval, cb); err != nil {
-		return nil, err
-	}
-	return s.insert(interval, cb, nil, nil, false), nil
-}
-
-// StartTimerPayload implements core.PayloadStarter: like StartTimer, but
-// the entry carries an opaque payload, fires through the shared cb, and
-// is recycled on the scheme's free list at fire/stop time.
-func (s *Scheme) StartTimerPayload(interval core.Tick, payload any, cb core.PayloadCallback) (core.Handle, error) {
-	if cb == nil {
-		return nil, core.ErrNilCallback
-	}
-	if interval < 1 {
-		return nil, core.ErrNonPositiveInterval
-	}
-	return s.insert(interval, nil, cb, payload, true), nil
-}
-
-// insert places one validated timer in the wheel or the overflow heap.
-func (s *Scheme) insert(interval core.Tick, cb core.Callback, pcb core.PayloadCallback, payload any, pooled bool) *entry {
-	e := s.acquire()
-	e.id = s.nextID
-	s.nextID++
-	e.when = s.now + interval
-	e.cb, e.pcb, e.payload = cb, pcb, payload
-	e.pooled = pooled
-	e.owner = s
-	s.cost.Compare(1) // range test
-	if interval <= core.Tick(len(s.slots)) {
-		e.loc = inWheel
-		s.cost.Read(1)
-		slot := s.slotFor(e.when)
-		s.slots[slot].PushFront(&e.node)
-		s.occ.Set(slot)
-	} else {
-		e.loc = inOverflow
-		e.hd = s.overflow.Insert(int64(e.when), e)
-	}
-	s.n++
-	return e
+	return core.StartTimer(s, interval, cb)
 }
 
 // StopTimer cancels the timer wherever it currently lives.
-func (s *Scheme) StopTimer(h core.Handle) error {
-	e, ok := h.(*entry)
-	if !ok || e.owner != s {
-		return core.ErrForeignHandle
-	}
-	return s.stopEntry(e)
+func (s *Scheme) StopTimer(h core.Handle) error { return core.StopTimer(s, h) }
+
+// ResetTimer implements core.Resetter in place.
+func (s *Scheme) ResetTimer(h core.Handle, interval core.Tick) error {
+	return core.ResetTimer(s, h, interval)
 }
 
-// StopTimerID implements core.IDStopper: StopTimer guarded against
-// recycled-handle ABA by the never-reused timer ID.
-func (s *Scheme) StopTimerID(h core.Handle, id core.ID) error {
-	e, ok := h.(*entry)
-	if !ok || e.owner != s {
-		return core.ErrForeignHandle
+// StartEntry implements core.EntryOps.
+func (s *Scheme) StartEntry(e *core.Entry, interval core.Tick) error {
+	if interval < 1 {
+		return core.ErrNonPositiveInterval
 	}
-	if e.id != id {
-		return core.ErrTimerNotPending
-	}
-	return s.stopEntry(e)
-}
-
-// stopEntry is the shared STOP_TIMER logic. A pooled entry still linked
-// into a structure is recycled immediately; one that is detached but
-// pending sits in a Tick batch, and the batch loop recycles it instead.
-func (s *Scheme) stopEntry(e *entry) error {
-	if e.state != core.StatePending {
-		return core.ErrTimerNotPending
-	}
-	e.state = core.StateStopped
-	switch e.loc {
-	case inWheel:
-		if e.node.Attached() {
-			slot := s.slotFor(e.when)
-			s.slots[slot].Remove(&e.node)
-			if s.slots[slot].Empty() {
-				s.occ.Clear(slot)
-			}
-			s.n--
-			if e.pooled {
-				s.release(e)
-			}
-		}
-	case inOverflow:
-		if s.overflow.Remove(e.hd) {
-			s.n--
-			if e.pooled {
-				s.release(e)
-			}
-		}
-	}
+	e.Arm(s.nextID, s.now+interval)
+	s.nextID++
+	s.place(e)
 	return nil
+}
+
+// StopEntry implements core.EntryOps.
+func (s *Scheme) StopEntry(e *core.Entry) error {
+	placed, err := e.Stop()
+	if placed {
+		s.unlink(e)
+	}
+	return err
+}
+
+// ResetEntry implements core.EntryOps: unlink from the wheel or the
+// heap, then place for the new expiry.
+func (s *Scheme) ResetEntry(e *core.Entry, interval core.Tick) error {
+	if interval < 1 {
+		return core.ErrNonPositiveInterval
+	}
+	placed, err := e.BeginReset()
+	if err != nil {
+		return err
+	}
+	if placed {
+		s.unlink(e)
+	}
+	e.When = s.now + interval
+	s.place(e)
+	return nil
+}
+
+// place puts a pending entry in the wheel if it is due within
+// WheelRange ticks, else in the overflow heap.
+func (s *Scheme) place(e *core.Entry) {
+	s.cost.Compare(1) // range test
+	if e.When-s.now <= core.Tick(len(s.slots)) {
+		s.cost.Read(1)
+		s.pushWheel(e)
+	} else {
+		s.overflow.push(e)
+	}
+	s.n++
+}
+
+// pushWheel links e into the wheel slot for its expiry.
+func (s *Scheme) pushWheel(e *core.Entry) {
+	e.Aux = 0
+	slot := s.slotFor(e.When)
+	s.slots[slot].PushFront(&e.Node)
+	s.occ.Set(slot)
+}
+
+// unlink removes a placed entry from whichever structure holds it.
+func (s *Scheme) unlink(e *core.Entry) {
+	if e.Aux > 0 {
+		s.overflow.remove(int(e.Aux - 1))
+	} else {
+		slot := s.slotFor(e.When)
+		s.slots[slot].Remove(&e.Node)
+		if s.slots[slot].Empty() {
+			s.occ.Clear(slot)
+		}
+	}
+	s.n--
 }
 
 // Tick advances the wheel cursor, fires the current slot, and then
@@ -271,24 +194,17 @@ func (s *Scheme) Tick() int {
 	s.cost.Read(1)
 	s.cost.Compare(1)
 	if !slot.Empty() {
-		s.batch = s.batch[:0]
 		for n := slot.TakeChain(); n != nil; {
 			next := n.Unchain()
+			n.Value.Collect()
 			s.batch = append(s.batch, n.Value)
 			s.n--
 			n = next
 		}
 		s.occ.Clear(s.cursor)
-		for _, e := range s.batch {
-			if e.state == core.StatePending {
-				e.state = core.StateFired
-				fired++
-				e.fire()
-			}
-			if e.pooled {
-				s.release(e)
-			}
-		}
+		fired = core.FireBatch(s.batch)
+		clear(s.batch)
+		s.batch = s.batch[:0]
 	}
 
 	// Migrate: every long timer whose expiry now falls within one wheel
@@ -296,18 +212,15 @@ func (s *Scheme) Tick() int {
 	// each long timer migrates exactly once, at distance WheelRange.
 	horizon := s.now + core.Tick(len(s.slots))
 	for {
-		key, e, ok := s.overflow.Min()
+		e := s.overflow.min()
 		s.cost.Compare(1)
-		if !ok || core.Tick(key) > horizon {
+		if e == nil || e.When > horizon {
 			break
 		}
-		s.overflow.PopMin()
+		s.overflow.remove(0)
 		s.Migrations++
-		e.loc = inWheel
 		s.cost.Write(1)
-		slot := s.slotFor(e.when)
-		s.slots[slot].PushFront(&e.node)
-		s.occ.Set(slot)
+		s.pushWheel(e)
 	}
 	return fired
 }
@@ -321,8 +234,8 @@ func (s *Scheme) NextExpiry() (core.Tick, bool) {
 	if next, ok := s.nextWheelVisit(); ok {
 		return next, true
 	}
-	if key, _, ok := s.overflow.Min(); ok {
-		return core.Tick(key), true
+	if e := s.overflow.min(); e != nil {
+		return e.When, true
 	}
 	return 0, false
 }
@@ -352,9 +265,9 @@ func (s *Scheme) Advance(n core.Tick) int {
 	target := s.now + n
 	for s.now < target {
 		next, nextOK := s.nextWheelVisit()
-		if key, _, ok := s.overflow.Min(); ok {
+		if e := s.overflow.min(); e != nil {
 			// The heap minimum must be migrated at (when - WheelRange).
-			migrate := core.Tick(key) - core.Tick(len(s.slots))
+			migrate := e.When - core.Tick(len(s.slots))
 			if !nextOK || migrate < next {
 				next, nextOK = migrate, true
 			}
@@ -385,22 +298,22 @@ func (s *Scheme) jumpTo(t core.Tick) {
 // placement, and that every overflow timer is beyond wheel range... or
 // exactly at the migration horizon awaiting the next tick.
 func (s *Scheme) CheckInvariants() bool {
-	if !s.overflow.CheckInvariants() {
+	if !s.overflow.checkInvariants() {
 		return false
 	}
-	count := s.overflow.Len()
+	count := s.overflow.len()
 	for i := range s.slots {
 		if !s.slots[i].CheckInvariants() {
 			return false
 		}
 		ok := true
-		s.slots[i].Do(func(n *ilist.Node[*entry]) {
+		s.slots[i].Do(func(n *ilist.Node[*core.Entry]) {
 			count++
 			e := n.Value
-			if e.when <= s.now || e.when > s.now+core.Tick(len(s.slots)) {
+			if e.When <= s.now || e.When > s.now+core.Tick(len(s.slots)) {
 				ok = false
 			}
-			if s.slotFor(e.when) != i {
+			if s.slotFor(e.When) != i || e.Aux != 0 {
 				ok = false
 			}
 		})
@@ -412,9 +325,8 @@ func (s *Scheme) CheckInvariants() bool {
 }
 
 var (
-	_ core.Facility       = (*Scheme)(nil)
-	_ core.Advancer       = (*Scheme)(nil)
-	_ core.NextExpirer    = (*Scheme)(nil)
-	_ core.PayloadStarter = (*Scheme)(nil)
-	_ core.IDStopper      = (*Scheme)(nil)
+	_ core.EntryScheme = (*Scheme)(nil)
+	_ core.Resetter    = (*Scheme)(nil)
+	_ core.Advancer    = (*Scheme)(nil)
+	_ core.NextExpirer = (*Scheme)(nil)
 )

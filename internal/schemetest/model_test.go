@@ -237,8 +237,12 @@ func modelSubjects() map[string]func() Subject {
 		timer.WithIngress(2))
 	subs["runtime-ingress-tiny-batch"] = newRuntimeSubject("runtime-ingress-tiny-batch", true, false,
 		timer.WithIngress(2))
-	// The runtime over the grouped sorting queue exercises the in-place
-	// Reset fast path (resetInPlaceLocked) in both admission modes.
+	// The runtime over the grouped sorting queue resets in place under a
+	// second placement rule, in both admission modes; over an ordered
+	// list it goes through the closure adapter Schemes 1-4 and the trees
+	// use.
+	subs["runtime-sync-closure"] = newRuntimeSubject("runtime-sync-closure", false, true,
+		timer.WithSchemeFactory(func() timer.Scheme { return timer.NewOrderedList(timer.SearchFromFront) }))
 	subs["runtime-sync-gsq"] = newRuntimeSubject("runtime-sync-gsq", false, true,
 		timer.WithSchemeFactory(func() timer.Scheme { return timer.NewGroupedQueue(32, 8) }))
 	subs["runtime-ingress-gsq"] = newRuntimeSubject("runtime-ingress-gsq", false, false,
@@ -340,8 +344,8 @@ func TestModelShrinkKeepsConformant(t *testing.T) {
 // script seed, length, and the grouped-sorting-queue shape (band count
 // and width, including degenerate single-band and width-1 queues), and
 // every generated script is >= 50% Resets. The queue runs side by side
-// with Scheme 6 and with the runtime's in-place reset path, all against
-// the same oracle.
+// with every wheel's in-place reset (Schemes 5, 6, 6-absolute, 7, and the
+// hybrid) and with the runtime's, all against the same oracle.
 func FuzzModelResetStorm(f *testing.F) {
 	f.Add(uint64(1), uint16(200), uint8(0x1b))
 	f.Add(uint64(9), uint16(400), uint8(0x00))
@@ -351,14 +355,18 @@ func FuzzModelResetStorm(f *testing.F) {
 		bands := 1 << (shape & 7)                   // 1..128 bands
 		width := core.Tick(1) << ((shape >> 3) & 3) // width 1..8
 		script := GenScriptMix(seed, int(opCount%800)+20, MaxModelInterval, ResetStormMix)
-		for _, mk := range []func() Subject{
+		subjects := []func() Subject{
 			newFacilitySubject(gsqFactory(bands, width)),
-			newFacilitySubject(factories()["scheme6"]),
+			newRuntimeSubject("runtime-sync", false, true),
 			newRuntimeSubject("runtime-sync-gsq", false, true,
 				timer.WithSchemeFactory(func() timer.Scheme {
 					return timer.NewGroupedQueue(bands, timer.Tick(width))
 				})),
-		} {
+		}
+		for _, name := range []string{"scheme5", "scheme6", "scheme6-abs", "scheme7", "hybrid"} {
+			subjects = append(subjects, newFacilitySubject(factories()[name]))
+		}
+		for _, mk := range subjects {
 			if d := CheckScript(mk, script); d != nil {
 				t.Fatal(d)
 			}

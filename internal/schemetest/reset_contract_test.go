@@ -29,8 +29,8 @@ import (
 )
 
 // contractSchemes returns the scheme flavors the Reset contract is
-// pinned on: the default Scheme 6 wheel (stop+start Reset) and the
-// grouped sorting queue (update-in-place Reset).
+// pinned on: the default Scheme 6 wheel and the grouped sorting queue,
+// which both reset in place but place entries by different rules.
 func contractSchemes() map[string][]timer.RuntimeOption {
 	return map[string][]timer.RuntimeOption{
 		"wheel": nil,

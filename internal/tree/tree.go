@@ -90,7 +90,7 @@ func (s *Scheme3) StartTimer(interval core.Tick, cb core.Callback) (core.Handle,
 	if err := core.CheckInterval(interval, cb); err != nil {
 		return nil, err
 	}
-	e := &entry{id: s.nextID, when: s.now + interval, cb: cb, owner: s}
+	e := &entry{id: s.nextID, when: s.now + interval, cb: cb, owner: s, state: core.StatePending}
 	s.nextID++
 	e.handle = s.queue.Insert(int64(e.when), e)
 	s.n++

@@ -98,7 +98,7 @@ func (s *Scheme4) StartTimer(interval core.Tick, cb core.Callback) (core.Handle,
 	if interval > core.Tick(len(s.slots)) {
 		return nil, core.ErrIntervalOutOfRange
 	}
-	e := &entry{id: s.nextID, when: s.now + interval, cb: cb, owner: s}
+	e := &entry{id: s.nextID, when: s.now + interval, cb: cb, owner: s, state: core.StatePending}
 	s.nextID++
 	e.node.Value = e
 	slot := (s.cursor + int(interval)) % len(s.slots)

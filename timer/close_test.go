@@ -157,10 +157,8 @@ func TestShardedCloseIdempotentAndPostClose(t *testing.T) {
 // of the overload work; run under -race). The losing side must fail
 // cleanly — ErrDraining while the shutdown is in flight, ErrRuntimeClosed
 // after — never panic, deadlock, or corrupt the free list. The sweep
-// covers the default hashed wheel (stop+start Reset), the grouped
-// sorting queue (update-in-place Reset through core.IDResetter), and
-// the hybrid wheel, so the in-place path races Close exactly as hard
-// as the re-admission path does.
+// covers the default hashed wheel, the grouped sorting queue, and the
+// hybrid wheel: three placement rules under the same in-place Reset.
 func TestResetCloseRace(t *testing.T) {
 	schemes := map[string]func() []RuntimeOption{
 		"wheel": func() []RuntimeOption { return nil },

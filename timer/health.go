@@ -241,7 +241,7 @@ func (rt *Runtime) deliver(t *Timer) {
 		lag = 0
 	}
 	rt.lagHist.Record(lag * rt.granNS)
-	rt.traceRecord(TraceFired, t.id, t.prio, Tick(rt.lastTick.Load()), t.deadline, lag)
+	rt.traceRecord(TraceFired, t.ID(), t.prio, Tick(rt.lastTick.Load()), t.deadline, lag)
 	if t.ch != nil {
 		select {
 		case t.ch <- rt.now():
@@ -309,9 +309,9 @@ func (rt *Runtime) shedOrRetry(t *Timer) {
 	if shedLag < 0 {
 		shedLag = 0
 	}
-	rt.traceRecord(TraceShed, t.id, t.prio, Tick(rt.lastTick.Load()), t.deadline, shedLag)
+	rt.traceRecord(TraceShed, t.ID(), t.prio, Tick(rt.lastTick.Load()), t.deadline, shedLag)
 	if rt.shedHandler != nil {
-		info := ShedInfo{ID: t.id, Priority: t.prio, Deadline: t.deadline, Retries: int(t.retries)}
+		info := ShedInfo{ID: t.ID(), Priority: t.prio, Deadline: t.deadline, Retries: int(t.retries)}
 		safeHook(func() { rt.shedHandler(info) })
 	}
 }
@@ -332,17 +332,16 @@ func (rt *Runtime) rearmForRetry(t *Timer) bool {
 	t.retries++
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.closed || rt.draining {
+	// A pending entry means the caller re-armed the timer with Reset
+	// after it fired: that arm stands, and this expiry is a final shed.
+	if rt.closed || rt.draining || t.ent.Pending() {
 		return false
 	}
-	h, err := rt.startLocked(backoff, t)
-	if err != nil {
+	if rt.ops.StartEntry(&t.ent, backoff) != nil {
 		return false
 	}
-	t.h = h
-	t.id = h.TimerID()
 	t.deadline = rt.fac.Now() + backoff
-	rt.traceRecord(TraceRetried, t.id, t.prio, rt.fac.Now(), t.deadline, 0)
+	rt.traceRecord(TraceRetried, t.ID(), t.prio, rt.fac.Now(), t.deadline, 0)
 	rt.poke()
 	return true
 }
@@ -377,7 +376,7 @@ func (rt *Runtime) runCallback(t *Timer) {
 		if r := recover(); r != nil {
 			rt.panics.Add(1)
 			if rt.trace != nil {
-				rt.traceRecord(TracePanic, t.id, t.prio, Tick(rt.lastTick.Load()), t.deadline, 0)
+				rt.traceRecord(TracePanic, t.ID(), t.prio, Tick(rt.lastTick.Load()), t.deadline, 0)
 				rt.trace.autoDump()
 			}
 			if rt.panicHandler != nil {

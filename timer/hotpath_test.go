@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"timingwheels/clock"
+	"timingwheels/internal/hashwheel"
 )
 
 // noopAction is shared across alloc tests so the measured loop doesn't
@@ -41,12 +42,64 @@ func TestScheduleStopAllocFree(t *testing.T) {
 	}
 }
 
+// entrySchemes are the production schemes, whose entries the runtime's
+// Timers embed. The hybrid's wheel spans 512 ticks (5.12s at the test
+// granularity), so every interval used with it below stays inside the
+// wheel.
+var entrySchemes = map[string]func() Scheme{
+	"scheme5":     func() Scheme { return NewHashedWheelSorted(512) },
+	"scheme6":     func() Scheme { return NewHashedWheel(512) },
+	"scheme6-abs": func() Scheme { return hashwheel.NewScheme6Absolute(512, nil) },
+	"scheme7":     func() Scheme { return NewHierarchicalWheel([]int{64, 64, 64}, MigrateAlways) },
+	"hybrid":      func() Scheme { return NewHybridWheel(512) },
+	"gsq":         func() Scheme { return NewGroupedQueue(64, 8) },
+}
+
+// TestOneObjectPerArmedTimer pins the memory layout: the Timer embeds
+// its scheme entry, so with an empty free list one AfterFunc allocates
+// exactly one object — the Timer — on every production scheme, and a
+// warm AfterFunc+Stop cycle allocates nothing.
+func TestOneObjectPerArmedTimer(t *testing.T) {
+	for name, mk := range entrySchemes {
+		t.Run(name, func(t *testing.T) {
+			rt, _ := newManualRuntime(t, WithScheme(mk()))
+			cold := testing.AllocsPerRun(200, func() {
+				if _, err := rt.AfterFunc(time.Second, noopAction); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if cold != 1 {
+				t.Fatalf("cold AfterFunc allocates %.2f objects/op, want exactly 1", cold)
+			}
+			for i := 0; i < 64; i++ {
+				tm, err := rt.AfterFunc(time.Second, noopAction)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tm.Stop()
+			}
+			warm := testing.AllocsPerRun(200, func() {
+				tm, err := rt.AfterFunc(time.Second, noopAction)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !tm.Stop() {
+					t.Fatal("Stop failed")
+				}
+			})
+			if warm != 0 {
+				t.Fatalf("warm AfterFunc+Stop allocates %.2f allocs/op, want 0", warm)
+			}
+		})
+	}
+}
+
 // TestGroupedQueueHotPathAllocFree pins the same steady-state guarantee
 // on the grouped sorting queue, including its headline operation: a
-// warm Schedule+Stop cycle allocates nothing, and — because Reset on
-// this scheme is update-in-place through core.IDResetter, with no
-// Timer churn, no facility re-admission, and no free-list traffic — a
-// warm Schedule+Reset+Reset+Stop cycle allocates nothing either.
+// warm Schedule+Stop cycle allocates nothing, and — because Reset
+// relinks the Timer's own entry in place, with no Timer churn and no
+// facility re-admission — a warm Schedule+Reset+Reset+Stop cycle
+// allocates nothing either.
 func TestGroupedQueueHotPathAllocFree(t *testing.T) {
 	rt, _ := newManualRuntime(t, WithScheme(NewGroupedQueue(64, 8)))
 	for i := 0; i < 64; i++ {
@@ -258,7 +311,8 @@ func TestTimerReuseAcrossScheduleStop(t *testing.T) {
 
 // TestStaleStopAfterRecycleIsInert is the ABA regression test: a second
 // Stop on an already-stopped (hence recycled) timer must not cancel the
-// timer that has since reused the entry.
+// timer that has since reused the object, and a late Stop on a fired
+// timer finds its entry fired and reports false.
 func TestStaleStopAfterRecycleIsInert(t *testing.T) {
 	rt, fc := newManualRuntime(t)
 	stale, err := rt.AfterFunc(time.Second, noopAction)
@@ -268,7 +322,8 @@ func TestStaleStopAfterRecycleIsInert(t *testing.T) {
 	if !stale.Stop() {
 		t.Fatal("first Stop failed")
 	}
-	// This schedule reuses both the Timer object and the wheel entry.
+	// This schedule reuses the Timer object, and with it the entry it
+	// embeds.
 	fired := 0
 	fresh, err := rt.AfterFunc(10*time.Millisecond, func() { fired++ })
 	if err != nil {
@@ -278,12 +333,11 @@ func TestStaleStopAfterRecycleIsInert(t *testing.T) {
 		t.Skip("pool did not hand back the same object; ABA scenario not constructible")
 	}
 	// A (contract-violating, but historically common) duplicate Stop via
-	// the stale reference would hit the recycled entry. It refers to the
-	// same object here, so it DOES stop the fresh timer — the point of
-	// the ID guard is the facility level: a stale handle into the wheel
-	// can't fire or cancel a stranger. Exercise that directly: stop the
-	// fresh timer, reschedule (new ID on the same entry), and verify the
-	// old handle+ID pair is refused.
+	// the stale reference refers to the same object here, so it DOES stop
+	// the fresh timer. The scheme recycles nothing of its own — the entry
+	// lives and dies with its Timer — so there is no second object a
+	// stale handle could reach: stop the fresh timer, reschedule (a new
+	// ID on the same entry), and verify only the new action fires.
 	if !fresh.Stop() {
 		t.Fatal("fresh Stop failed")
 	}
@@ -291,11 +345,15 @@ func TestStaleStopAfterRecycleIsInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = again
 	fc.Advance(10 * time.Millisecond)
 	rt.Poll()
 	if fired != 10 {
 		t.Fatalf("fired=%d: recycled entry misdelivered", fired)
+	}
+	// Fired timers are never recycled, so a late Stop finds the entry
+	// fired and is refused.
+	if again.Stop() {
+		t.Fatal("late Stop on a fired timer reported true")
 	}
 }
 
@@ -461,11 +519,11 @@ func TestAfterDeliversUnderShedding(t *testing.T) {
 	}
 }
 
-// TestRuntimeFallbackScheme drives the runtime over facilities that do
-// NOT implement the payload fast path (a Scheme 2 ordered list, and an
-// instrumented wrapper that hides Scheme 6's extensions), pinning the
-// closure-based fallback: schedule, fire, stop, and stats must behave
-// identically, just without the zero-alloc guarantee.
+// TestRuntimeFallbackScheme drives the runtime over facilities that are
+// NOT entry schemes (a Scheme 2 ordered list, and an instrumented
+// wrapper that hides Scheme 6's entry operations), pinning the
+// closure-based adapter: schedule, fire, stop, and stats must behave
+// identically, just without the one-object, zero-alloc guarantee.
 func TestRuntimeFallbackScheme(t *testing.T) {
 	instrumented, _ := Instrument(NewHashedWheel(64))
 	schemes := map[string]Scheme{

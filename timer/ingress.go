@@ -48,9 +48,9 @@ const DefaultIngressDepth = 1 << 14
 //
 // When the ring is full (producers outpacing the driver) operations
 // fall back to the synchronous locked path, so admission never blocks
-// on the ring and never fails spuriously. WithIngress requires a
-// scheme with the zero-alloc payload fast path (the hashed,
-// hierarchical, and hybrid wheels); NewRuntime panics otherwise.
+// on the ring and never fails spuriously. WithIngress requires an
+// entry scheme (the hashed, hierarchical, and hybrid wheels, or the
+// grouped queue); NewRuntime panics otherwise.
 func WithIngress(depth int) RuntimeOption {
 	return func(c *runtimeConfig) {
 		if depth <= 0 {
@@ -157,13 +157,12 @@ func newIngressState(depth int) *ingressState {
 
 // recycleIngressTimer retires one ingress-mode Timer incarnation: the
 // incarnation bump invalidates any staged intent still carrying the
-// old one, and the nil handle marks the next incarnation as
-// staged-not-yet-armed for the locked fallback paths. Called either
-// under rt.mu (apply/fallback paths) or on an object no other
-// goroutine can reach (producer error paths, After delivery).
+// old one. The entry stays stopped or fired until the next incarnation
+// arms it, so the locked fallback paths cannot stop or reset it in
+// between. Called either under rt.mu (apply/fallback paths) or on an
+// object no other goroutine can reach (producer error paths, After
+// delivery).
 func (rt *Runtime) recycleIngressTimer(t *Timer) {
-	t.h = nil
-	t.id = 0
 	t.lc.Store((t.lc.Load() + lcIncar) &^ lcStateMask)
 	rt.recycleTimer(t) // clears fn/ch, pushes onto the freeMu chain
 }
@@ -265,20 +264,14 @@ func (rt *Runtime) armIngressFallbackLocked(t *Timer, ticks, wallTicks int64) (*
 		return nil, err
 	}
 	ticks = rt.stretch(ticks, wallTicks)
-	h, err := rt.startLocked(Tick(ticks), t)
-	if err != nil {
+	if err := rt.armLocked(t, Tick(ticks)); err != nil {
 		rt.started.Add(^uint64(0))
 		rt.recycleIngressTimer(t)
 		return nil, err
 	}
-	t.h = h
-	t.id = h.TimerID()
-	t.deadline = rt.fac.Now() + Tick(ticks)
 	// No concurrent Stop can race this store: the *Timer has not been
 	// returned to any caller yet on every path that reaches here.
 	t.lc.Store(t.lc.Load()&^lcStateMask | ingArmed)
-	rt.traceRecord(TraceScheduled, t.id, t.prio, rt.fac.Now(), t.deadline, 0)
-	rt.journalArmed(t)
 	rt.poke()
 	return t, nil
 }
@@ -295,7 +288,7 @@ func (rt *Runtime) settleStagedStop(t *Timer) {
 	if rt.journal != nil && t.tag != 0 {
 		rt.journal.TimerStopped(t.tag, 0) // id was never set for a staged incarnation
 	}
-	rt.recycleTimer(t) // h/id were never set for a staged incarnation
+	rt.recycleTimer(t) // the entry was never armed for a staged incarnation
 }
 
 // stopIngress commits one cancellation on a WithIngress runtime. The
@@ -347,9 +340,9 @@ func (rt *Runtime) stopIngressLocked(t *Timer) {
 	if rt.closed {
 		return
 	}
-	if t.h != nil && rt.stopLocked(t.h, t.id) == nil {
+	if rt.ops.StopEntry(&t.ent) == nil {
 		rt.stopped++
-		rt.traceRecord(TraceStopped, t.id, t.prio, rt.fac.Now(), t.deadline, 0)
+		rt.traceRecord(TraceStopped, t.ID(), t.prio, rt.fac.Now(), t.deadline, 0)
 		rt.journalStopped(t)
 		rt.recycleIngressTimer(t)
 	}
@@ -414,19 +407,12 @@ func (rt *Runtime) resetIngressLocked(t *Timer, ticks, wallTicks int64) (bool, e
 			return false, ErrStopPending
 		}
 		rt.ing.staged.Add(-1)
-		ticks = rt.stretch(ticks, wallTicks)
-		h, err := rt.startLocked(Tick(ticks), t)
-		if err != nil {
+		if err := rt.armLocked(t, Tick(rt.stretch(ticks, wallTicks))); err != nil {
 			// The pending intent is void and this arm failed: the
 			// admission is over. Account it as shed (it was started).
 			rt.shedStagedLocked(t)
 			return true, err
 		}
-		t.h = h
-		t.id = h.TimerID()
-		t.deadline = rt.fac.Now() + Tick(ticks)
-		rt.traceRecord(TraceScheduled, t.id, t.prio, rt.fac.Now(), t.deadline, 0)
-		rt.journalArmed(t)
 		rt.poke()
 		return true, nil
 	case ingArmed:
@@ -434,32 +420,14 @@ func (rt *Runtime) resetIngressLocked(t *Timer, ticks, wallTicks int64) (bool, e
 		// carries it) while preserving the state bits: a concurrent
 		// armed-stop CAS may have just committed ingStopping, and its
 		// intent must still find it there to cancel the re-arm below —
-		// the documented stop-after-reset outcome, which holds for the
-		// in-place path too (the stop intent cancels through the same
-		// handle/ID the in-place reset kept).
+		// the documented stop-after-reset outcome (the stop intent
+		// cancels the same entry the reset re-armed in place).
 		t.lc.Add(lcIncar)
-		ticks = rt.stretch(ticks, wallTicks)
-		if rt.resetInPlaceLocked(t, Tick(ticks)) {
+		wasPending, err := rt.rearmLocked(t, Tick(rt.stretch(ticks, wallTicks)))
+		if err == nil {
 			rt.poke()
-			return true, nil
 		}
-		wasPending := rt.stopLocked(t.h, t.id) == nil
-		if wasPending {
-			rt.stopped++
-		}
-		h, err := rt.startLocked(Tick(ticks), t)
-		if err != nil {
-			return wasPending, err
-		}
-		rt.started.Add(1)
-		t.h = h
-		t.id = h.TimerID()
-		t.deadline = rt.fac.Now() + Tick(ticks)
-		t.retries = 0
-		rt.traceRecord(TraceScheduled, t.id, t.prio, rt.fac.Now(), t.deadline, 0)
-		rt.journalArmed(t)
-		rt.poke()
-		return wasPending, nil
+		return wasPending, err
 	default:
 		return false, ErrStopPending
 	}
@@ -472,12 +440,14 @@ func (rt *Runtime) resetIngressLocked(t *Timer, ticks, wallTicks int64) (bool, e
 func (rt *Runtime) shedStagedLocked(t *Timer) {
 	t.lc.Store(t.lc.Load()&^lcStateMask | ingStopping) // terminal; the object is abandoned to GC
 	rt.shedC[t.prio].Add(1)
-	rt.traceRecord(TraceShed, t.id, t.prio, rt.fac.Now(), t.deadline, 0)
+	// The admission never armed, so it has no ID (the entry may still
+	// carry a previous incarnation's).
+	rt.traceRecord(TraceShed, 0, t.prio, rt.fac.Now(), t.deadline, 0)
 	if rt.journal != nil && t.tag != 0 {
-		rt.journal.TimerShed(t.tag, 0) // id was never set: the admission never armed
+		rt.journal.TimerShed(t.tag, 0)
 	}
 	if rt.shedHandler != nil {
-		info := ShedInfo{ID: t.id, Priority: t.prio, Deadline: t.deadline, Retries: int(t.retries)}
+		info := ShedInfo{Priority: t.prio, Deadline: t.deadline, Retries: int(t.retries)}
 		safeHook(func() { rt.shedHandler(info) })
 	}
 }
@@ -523,20 +493,9 @@ func (rt *Runtime) applyIngressLocked(it intent) {
 			return
 		}
 		rt.ing.staged.Add(-1)
-		iv := it.wall + it.ticks - int64(rt.fac.Now())
-		if iv < 1 {
-			iv = 1
-		}
-		h, err := rt.startLocked(Tick(iv), t)
-		if err != nil {
+		if rt.armLocked(t, rt.applyInterval(it)) != nil {
 			rt.shedStagedLocked(t)
-			return
 		}
-		t.h = h
-		t.id = h.TimerID()
-		t.deadline = rt.fac.Now() + Tick(iv)
-		rt.traceRecord(TraceScheduled, t.id, t.prio, rt.fac.Now(), t.deadline, 0)
-		rt.journalArmed(t)
 	case opStop:
 		// Only an armed-stop commit leaves the word in ingStopping, and
 		// the incarnation stays there until this intent applies — so a
@@ -551,36 +510,24 @@ func (rt *Runtime) applyIngressLocked(it intent) {
 		// The reset applies only to the incarnation it was staged
 		// against, and only while that incarnation is armed (its own
 		// schedule intent applies before it by FIFO order; a stop or a
-		// recycle moves the incarnation on and voids it).
-		if t.lc.Load() != it.lc || t.h == nil {
+		// recycle moves the incarnation on and voids it). A refused
+		// re-arm leaves the timer as it was, like a synchronous Reset.
+		if t.lc.Load() != it.lc {
 			return
 		}
-		iv := it.wall + it.ticks - int64(rt.fac.Now())
-		if iv < 1 {
-			iv = 1
-		}
-		if rt.resetInPlaceLocked(t, Tick(iv)) {
-			return
-		}
-		wasPending := rt.stopLocked(t.h, t.id) == nil
-		if wasPending {
-			rt.stopped++
-		}
-		h, err := rt.startLocked(Tick(iv), t)
-		if err != nil {
-			// The old arm (if any) terminated as stopped above; the new
-			// arm was never admitted, so the ledger is already balanced
-			// — same as a synchronous Reset whose re-arm fails.
-			return
-		}
-		rt.started.Add(1)
-		t.h = h
-		t.id = h.TimerID()
-		t.deadline = rt.fac.Now() + Tick(iv)
-		t.retries = 0
-		rt.traceRecord(TraceScheduled, t.id, t.prio, rt.fac.Now(), t.deadline, 0)
-		rt.journalArmed(t)
+		_, _ = rt.rearmLocked(t, rt.applyInterval(it))
 	}
+}
+
+// applyInterval converts a staged intent's absolute target tick into the
+// interval to arm now: never less than one tick, so an intent applied
+// late fires on the next tick rather than never. Caller holds rt.mu.
+func (rt *Runtime) applyInterval(it intent) Tick {
+	iv := it.wall + it.ticks - int64(rt.fac.Now())
+	if iv < 1 {
+		iv = 1
+	}
+	return Tick(iv)
 }
 
 // finishIngressDrain fences producers out and applies whatever they
@@ -644,20 +591,14 @@ func (rt *Runtime) ScheduleBatch(reqs []Req) ([]*Timer, error) {
 		t.prio, t.retries, t.tag = PriorityNormal, 0, 0
 		q.Opt.apply(t)
 		ticks := rt.stretch(rt.wall.TicksFor(q.After), wallTicks)
-		h, err := rt.startLocked(Tick(ticks), t)
-		if err != nil {
+		if err := rt.armLocked(t, Tick(ticks)); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			rt.recycleTimer(t)
 			continue
 		}
-		t.h = h
-		t.id = h.TimerID()
-		t.deadline = rt.fac.Now() + Tick(ticks)
 		rt.started.Add(1)
-		rt.traceRecord(TraceScheduled, t.id, t.prio, rt.fac.Now(), t.deadline, 0)
-		rt.journalArmed(t)
 		timers[i] = t
 	}
 	rt.mu.Unlock()
@@ -741,7 +682,7 @@ func (rt *Runtime) scheduleBatchIngress(reqs []Req, timers []*Timer) ([]*Timer, 
 			t, chain = chain, chain.free
 			t.free = nil
 		} else {
-			t = &Timer{rt: rt}
+			t = rt.newTimer()
 		}
 		t.fn, t.ch = q.Fn, nil
 		t.prio, t.retries, t.tag = PriorityNormal, 0, 0
@@ -808,9 +749,9 @@ func (rt *Runtime) StopBatch(timers []*Timer) int {
 			}
 			locked = true
 		}
-		if rt.stopLocked(t.h, t.id) == nil {
+		if rt.ops.StopEntry(&t.ent) == nil {
 			rt.stopped++
-			rt.traceRecord(TraceStopped, t.id, t.prio, rt.fac.Now(), t.deadline, 0)
+			rt.traceRecord(TraceStopped, t.ID(), t.prio, rt.fac.Now(), t.deadline, 0)
 			rt.journalStopped(t)
 			rt.recycleTimer(t)
 			accepted++
@@ -976,32 +917,15 @@ func (rt *Runtime) ResetBatch(reqs []ResetReq) (int, error) {
 				return accepted, err
 			}
 		}
-		t := q.T
 		ticks := rt.stretch(rt.wall.TicksFor(q.After), wallTicks)
-		if rt.resetInPlaceLocked(t, Tick(ticks)) {
-			accepted++
-			continue
-		}
-		if rt.stopLocked(t.h, t.id) == nil {
-			rt.stopped++
-		}
-		h, err := rt.startLocked(Tick(ticks), t)
-		if err != nil {
-			// The old arm (if any) terminated as stopped; the re-arm was
-			// refused — the same ledger shape as a synchronous Reset
-			// whose re-arm fails.
+		if _, err := rt.rearmLocked(q.T, Tick(ticks)); err != nil {
+			// Refused, as a synchronous Reset would be: the timer keeps
+			// its deadline.
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		rt.started.Add(1)
-		t.h = h
-		t.id = h.TimerID()
-		t.deadline = rt.fac.Now() + Tick(ticks)
-		t.retries = 0
-		rt.traceRecord(TraceScheduled, t.id, t.prio, rt.fac.Now(), t.deadline, 0)
-		rt.journalArmed(t)
 		accepted++
 	}
 	unlock()

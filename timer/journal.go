@@ -79,17 +79,17 @@ func (o ScheduleOption) apply(t *Timer) {
 func (t *Timer) Tag() uint64 { return t.tag }
 
 // journalArmed reports an arm for t if it is tagged. Caller holds
-// rt.mu; t.id and t.deadline are set.
+// rt.mu; the entry ID and t.deadline are set.
 func (rt *Runtime) journalArmed(t *Timer) {
 	if rt.journal != nil && t.tag != 0 {
-		rt.journal.TimerArmed(t.tag, t.id, t.deadline)
+		rt.journal.TimerArmed(t.tag, t.ID(), t.deadline)
 	}
 }
 
 // journalStopped reports a settled cancellation for t if it is tagged.
 func (rt *Runtime) journalStopped(t *Timer) {
 	if rt.journal != nil && t.tag != 0 {
-		rt.journal.TimerStopped(t.tag, t.id)
+		rt.journal.TimerStopped(t.tag, t.ID())
 	}
 }
 
@@ -101,13 +101,13 @@ func (rt *Runtime) journalFired(t *Timer) {
 		if lag < 0 {
 			lag = 0
 		}
-		rt.journal.TimerFired(t.tag, t.id, lag*rt.granNS)
+		rt.journal.TimerFired(t.tag, t.ID(), lag*rt.granNS)
 	}
 }
 
 // journalShed reports a definitive overload drop for t if it is tagged.
 func (rt *Runtime) journalShed(t *Timer) {
 	if rt.journal != nil && t.tag != 0 {
-		rt.journal.TimerShed(t.tag, t.id)
+		rt.journal.TimerShed(t.tag, t.ID())
 	}
 }

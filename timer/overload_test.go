@@ -279,6 +279,52 @@ func TestOverloadRetryBackoff(t *testing.T) {
 	}
 }
 
+// TestOverloadRetryYieldsToReset: a queued expiry whose timer the caller
+// re-armed with Reset is evicted from the full dispatch queue. The shed
+// retry must not arm the timer a second time — the caller's arm stands,
+// the evicted expiry is a final shed, and the action runs once, at the
+// reset deadline.
+func TestOverloadRetryYieldsToReset(t *testing.T) {
+	rt, clk := newOverloadRuntime(t,
+		WithAsyncDispatch(1, 1),
+		WithShedRetry(2, 20*time.Millisecond),
+	)
+	gate := plugWorker(t, rt, clk)
+	var runs atomic.Int32
+	b, err := rt.AfterFunc(10*time.Millisecond, func() { runs.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(10 * time.Millisecond)
+	rt.Poll() // b fires into the queue behind the plugged worker
+	if wasPending, err := b.Reset(50 * time.Millisecond); err != nil || wasPending {
+		t.Fatalf("Reset of a fired timer = (%v, %v), want (false, nil)", wasPending, err)
+	}
+	cRan := make(chan struct{})
+	if _, err := rt.AfterFunc(10*time.Millisecond, func() { close(cRan) }); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(10 * time.Millisecond)
+	rt.Poll() // the newcomer evicts b's queued expiry
+	if h := rt.Health(); h.Retried != 0 || h.ByClass[PriorityNormal].Shed != 1 {
+		t.Fatalf("retried=%d shed=%d, want 0/1", h.Retried, h.ByClass[PriorityNormal].Shed)
+	}
+	close(gate)
+	<-cRan // the queue is empty again before b's reset deadline
+	for i := 0; i < 10; i++ {
+		clk.Advance(10 * time.Millisecond)
+		rt.Poll()
+	}
+	rt.Close()
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("b's action ran %d times, want 1 (at the reset deadline)", got)
+	}
+	started, expired, stopped := rt.Stats()
+	if started != 4 || expired != 4 || stopped != 0 {
+		t.Fatalf("stats=%d/%d/%d, want 4/4/0; %s", started, expired, stopped, rt.Health())
+	}
+}
+
 // TestOverloadBestEffortNeverRetries: retry budget is a Normal-class
 // privilege; BestEffort work is shed on first refusal even with
 // WithShedRetry configured.

@@ -123,18 +123,19 @@ func WithManualDriver() RuntimeOption {
 //
 // # Hot-path memory discipline
 //
-// The schedule→expire→deliver path is allocation-free in steady state:
-// Timer objects and facility entries are recycled on free lists, the
-// facility carries the *Timer as an opaque payload (core.PayloadStarter)
-// instead of a per-timer closure, and the fired buffer is reused across
-// polls. Recycling is guarded against stale-handle ABA by the facility's
-// never-reused core.ID (core.IDStopper); see DESIGN.md.
+// Each Timer embeds its scheme entry (core.Entry), so an armed timer is
+// one heap object: the production schemes link the Timer's own entry
+// into their slot lists, and fire it through the Timer itself, with no
+// per-timer closure. The schedule→expire→deliver path is allocation-free
+// in steady state: stopped Timers are recycled on the runtime's free
+// list, and the fired buffer is reused across polls; see DESIGN.md.
 type Runtime struct {
-	mu     sync.Mutex
-	fac    Scheme
-	ps     core.PayloadStarter // non-nil when fac supports the zero-alloc fast path
-	ids    core.IDStopper      // non-nil iff ps is non-nil
-	onFire core.PayloadCallback
+	mu  sync.Mutex
+	fac Scheme
+	// ops arms, stops, and resets Timer entries: fac itself for an entry
+	// scheme, else a closure adapter over fac's paper API (Schemes 1-4,
+	// the trees, wrappers).
+	ops    core.EntryOps
 	wall   *iclock.Wall
 	guard  *iclock.Guard // anomaly watch over the wall tick stream
 	now    func() time.Time
@@ -190,11 +191,6 @@ type Runtime struct {
 	// unless WithJournal. See journal.go.
 	journal Journal
 
-	// idr is the facility's update-in-place reset capability (immutable
-	// after NewRuntime); non-nil when the scheme can re-arm a pending
-	// timer without stop+start churn (e.g. the grouped sorting queue).
-	idr core.IDResetter
-
 	// Telemetry (always on). The histograms are lock-free fixed arrays,
 	// recorded into from the hot path with atomic increments only;
 	// lastTick mirrors the facility's virtual time after the most
@@ -237,18 +233,15 @@ type Runtime struct {
 // true the Timer remains valid indefinitely — in particular a fired
 // Timer may be re-armed with Reset.
 type Timer struct {
-	rt *Runtime
-	h  Handle
-	id core.ID // the handle's identity at start time (ABA guard)
-	fn func()
-	ch chan time.Time // After-style delivery; nil for fn timers
+	// ent is the timer's scheme entry, re-armed in place for every
+	// lifecycle of this object; its ID is the timer's ID. Mutated only
+	// under rt.mu.
+	ent core.Entry
+	rt  *Runtime
+	fn  func()
+	ch  chan time.Time // After-style delivery; nil for fn timers
 	// deadline is the tick at which the timer fires.
 	deadline Tick
-	// prio is the timer's overload class (see WithPriority); retries
-	// counts shed-retry re-arms consumed (see WithShedRetry). Both are
-	// written at schedule time and read only on the driver goroutine.
-	prio    Priority
-	retries uint8
 	// enqNS stamps the wall time an expired callback entered the async
 	// dispatch queue, so the worker that runs it can record the queue
 	// wait. Written on the driver, read on the worker; the pool's own
@@ -267,6 +260,22 @@ type Timer struct {
 	// state transition also witness the incarnation it applies to.
 	// Stays zero on synchronous runtimes.
 	lc atomic.Uint32
+	// prio is the timer's overload class (see WithPriority); retries
+	// counts shed-retry re-arms consumed (see WithShedRetry). Both are
+	// written at schedule time and read only on the driver goroutine.
+	prio    Priority
+	retries uint8
+}
+
+// expiry is a Timer seen as its entry's Expirer: a conversion of *Timer,
+// so the entry holds the Timer itself without a public method on it.
+type expiry Timer
+
+// Expire runs inside fac.Tick under rt.mu: defer execution until the
+// poll has unlocked.
+func (x *expiry) Expire(core.ID) {
+	t := (*Timer)(x)
+	t.rt.fired = append(t.rt.fired, t)
 }
 
 // NewRuntime starts a runtime. Close it when done to release the ticking
@@ -318,37 +327,16 @@ func NewRuntime(opts ...RuntimeOption) *Runtime {
 	if cfg.traceCap > 0 {
 		rt.trace = newTraceRing(cfg.traceCap, cfg.traceSink)
 	}
-	// The fast path needs both halves: payload-started entries are
-	// recycled at fire/stop time, so cancellation must go through the
-	// ID-guarded stop. A facility offering only one half gets the
-	// closure-based fallback for both.
-	if ps, ok := cfg.scheme.(core.PayloadStarter); ok {
-		if ids, ok := cfg.scheme.(core.IDStopper); ok {
-			rt.ps, rt.ids = ps, ids
-			// One shared callback for every timer: the payload carries
-			// the *Timer, so scheduling allocates no per-timer closure.
-			rt.onFire = func(_ core.ID, payload any) {
-				rt.fired = append(rt.fired, payload.(*Timer))
-			}
-		}
-	}
-	// Update-in-place resets ride the same never-reused-ID ABA guard as
-	// the fast-path stop, so the capability stands on its own: any
-	// scheme offering it gets Reset without stop+start churn.
-	if idr, ok := cfg.scheme.(core.IDResetter); ok {
-		rt.idr = idr
-	}
+	rt.ops = core.EntriesOf(cfg.scheme)
 	if cfg.asyncWorkers > 0 {
 		rt.pool = dispatch.NewClass(cfg.asyncWorkers, cfg.asyncQueue, rt.runAsync)
 	}
 	if cfg.ingressDepth > 0 {
-		// Staged timers are armed and recycled by the driver, so the
-		// ingress path leans on the same ID-guarded payload machinery
-		// the zero-alloc hot path uses; a scheme without it cannot
-		// recycle safely.
-		if rt.ps == nil {
-			panic("timer: WithIngress requires a scheme with the payload fast path " +
-				"(hashed, hierarchical, or hybrid wheels); " + rt.fac.Name() + " does not provide one")
+		// Ingress exists to take the lock off the hot path; the closure
+		// adapter's allocations and handle map would put it back.
+		if _, ok := cfg.scheme.(core.EntryScheme); !ok {
+			panic("timer: WithIngress requires an entry scheme " +
+				"(hashed, hierarchical, or hybrid wheels, or the grouped queue); " + rt.fac.Name() + " is not one")
 		}
 		rt.ing = newIngressState(cfg.ingressDepth)
 	}
@@ -377,6 +365,13 @@ func NewRuntime(opts ...RuntimeOption) *Runtime {
 // Granularity reports the runtime's tick length.
 func (rt *Runtime) Granularity() time.Duration { return rt.wall.Granularity() }
 
+// newTimer allocates a Timer whose entry fires it.
+func (rt *Runtime) newTimer() *Timer {
+	t := &Timer{rt: rt}
+	t.ent.SetExpirer((*expiry)(t))
+	return t
+}
+
 // acquireTimer pops a recycled Timer or allocates a fresh one. Called
 // without rt.mu held, so the (rare) allocation happens outside the lock.
 func (rt *Runtime) acquireTimer() *Timer {
@@ -388,15 +383,14 @@ func (rt *Runtime) acquireTimer() *Timer {
 	}
 	rt.freeMu.Unlock()
 	if t == nil {
-		t = &Timer{rt: rt}
+		t = rt.newTimer()
 	}
 	return t
 }
 
 // recycleTimer parks a Timer on the free list. Only fn/ch are cleared
-// here: h, id, and deadline are mutated exclusively under rt.mu (by the
-// next schedule), so a stale concurrent Stop on the old holder reads a
-// consistent — and, thanks to the ID guard, inert — pair.
+// here: the entry and deadline are mutated exclusively under rt.mu (by
+// the next schedule), and the entry stays stopped or fired until then.
 func (rt *Runtime) recycleTimer(t *Timer) {
 	t.fn = nil
 	t.ch = nil
@@ -573,47 +567,43 @@ func (rt *Runtime) stretch(ticks, wallTicks int64) int64 {
 	return ticks
 }
 
-// startLocked arms one timer in the facility: the payload fast path when
-// available, else a capturing closure. Caller holds rt.mu.
-func (rt *Runtime) startLocked(ticks Tick, t *Timer) (Handle, error) {
-	if rt.ps != nil {
-		return rt.ps.StartTimerPayload(ticks, t, rt.onFire)
-	}
-	return rt.fac.StartTimer(ticks, func(core.ID) {
-		// Invoked inside fac.Tick under rt.mu: defer execution.
-		rt.fired = append(rt.fired, t)
-	})
-}
-
-// stopLocked cancels one timer, through the ID-guarded fast path when
-// available. Caller holds rt.mu.
-func (rt *Runtime) stopLocked(h Handle, id core.ID) error {
-	if rt.ids != nil {
-		return rt.ids.StopTimerID(h, id)
-	}
-	return rt.fac.StopTimer(h)
-}
-
-// resetInPlaceLocked re-arms t through the facility's update-in-place
-// reset (core.IDResetter) when available: the timer keeps its entry,
-// handle, and ID, so there is no free-list churn — and because no timer
-// terminates and none starts, neither stopped nor started move: the
-// conservation ledger sees an update, not a lifecycle. It reports false
-// when the caller must fall back to stop+start (no IDResetter on the
-// scheme, or this incarnation is no longer pending in the facility).
-// Caller holds rt.mu; ticks is already stretched/clamped.
-func (rt *Runtime) resetInPlaceLocked(t *Timer, ticks Tick) bool {
-	if rt.idr == nil || t.h == nil {
-		return false
-	}
-	if rt.idr.ResetTimerID(t.h, t.id, ticks) != nil {
-		return false
+// armLocked starts a fresh lifecycle of t's entry, expiring ticks from
+// now, and records the arm. The caller counts it started. Caller holds
+// rt.mu; ticks is already stretched/clamped.
+func (rt *Runtime) armLocked(t *Timer, ticks Tick) error {
+	if err := rt.ops.StartEntry(&t.ent, ticks); err != nil {
+		return err
 	}
 	t.deadline = rt.fac.Now() + ticks
-	t.retries = 0 // a re-armed timer gets a fresh retry budget
-	rt.traceRecord(TraceScheduled, t.id, t.prio, rt.fac.Now(), t.deadline, 0)
+	rt.traceRecord(TraceScheduled, t.ID(), t.prio, rt.fac.Now(), t.deadline, 0)
 	rt.journalArmed(t)
-	return true
+	return nil
+}
+
+// rearmLocked re-arms t to expire ticks from now. A pending timer is
+// reset in place — same entry, same ID — so neither started nor stopped
+// moves: the conservation ledger sees an update, not a lifecycle. A
+// timer that already fired (or was never armed) starts a fresh
+// lifecycle, counted started. wasPending reports which; a reset the
+// scheme refuses (interval out of range) leaves the timer at its old
+// deadline. Caller holds rt.mu; ticks is already stretched/clamped.
+func (rt *Runtime) rearmLocked(t *Timer, ticks Tick) (wasPending bool, err error) {
+	switch err := rt.ops.ResetEntry(&t.ent, ticks); err {
+	case nil:
+		wasPending = true
+		t.deadline = rt.fac.Now() + ticks
+		rt.traceRecord(TraceScheduled, t.ID(), t.prio, rt.fac.Now(), t.deadline, 0)
+		rt.journalArmed(t)
+	case core.ErrTimerNotPending:
+		if err := rt.armLocked(t, ticks); err != nil {
+			return false, err
+		}
+		rt.started.Add(1)
+	default:
+		return true, err
+	}
+	t.retries = 0 // a re-armed timer gets a fresh retry budget
+	return wasPending, nil
 }
 
 func (rt *Runtime) schedule(ticks int64, fn func(), ch chan time.Time, opts []ScheduleOption) (*Timer, error) {
@@ -639,17 +629,11 @@ func (rt *Runtime) schedule(ticks int64, fn func(), ch chan time.Time, opts []Sc
 		return nil, err
 	}
 	ticks = rt.stretch(ticks, wallTicks)
-	h, err := rt.startLocked(Tick(ticks), t)
-	if err != nil {
+	if err := rt.armLocked(t, Tick(ticks)); err != nil {
 		rt.recycleTimer(t)
 		return nil, err
 	}
-	t.h = h
-	t.id = h.TimerID()
-	t.deadline = rt.fac.Now() + Tick(ticks)
 	rt.started.Add(1)
-	rt.traceRecord(TraceScheduled, t.id, t.prio, rt.fac.Now(), t.deadline, 0)
-	rt.journalArmed(t)
 	rt.poke() // tickless driver may need an earlier wakeup
 	return t, nil
 }
@@ -690,16 +674,16 @@ func (t *Timer) Stop() bool {
 		rt.mu.Unlock()
 		return false
 	}
-	if err := rt.stopLocked(t.h, t.id); err != nil {
+	if rt.ops.StopEntry(&t.ent) != nil {
 		rt.mu.Unlock()
 		return false
 	}
 	rt.stopped++
-	rt.traceRecord(TraceStopped, t.id, t.prio, rt.fac.Now(), t.deadline, 0)
+	rt.traceRecord(TraceStopped, t.ID(), t.prio, rt.fac.Now(), t.deadline, 0)
 	rt.journalStopped(t)
 	rt.mu.Unlock()
-	// Truly cancelled: the facility entry is already recycled (fast
-	// path); recycle the Timer object too.
+	// Truly cancelled: the entry is unlinked, so the Timer (entry and
+	// all) goes back on the free list.
 	rt.recycleTimer(t)
 	return true
 }
@@ -708,8 +692,9 @@ func (t *Timer) Stop() bool {
 func (t *Timer) Deadline() Tick { return t.deadline }
 
 // ID reports the timer's never-reused facility identity — the key that
-// correlates its events in the flight recorder (WithTrace).
-func (t *Timer) ID() ID { return t.id }
+// correlates its events in the flight recorder (WithTrace). A Reset of a
+// pending timer keeps it; re-arming a fired timer assigns a new one.
+func (t *Timer) ID() ID { return t.ent.ID() }
 
 // Reset re-arms the timer to fire d from now, reporting whether it was
 // still pending when rescheduled (false means the expiry action already
@@ -717,6 +702,10 @@ func (t *Timer) ID() ID { return t.id }
 // regardless, so the action runs again at the new deadline). This is the
 // retransmission-timer idiom: every send Resets the timeout. Reset must
 // not be used after Stop has returned true.
+//
+// A pending timer is reset in place on every scheme: it keeps its ID,
+// and Stats counts neither a stop nor a start. Re-arming a timer whose
+// action already ran starts a new lifecycle under a new ID.
 //
 // On a WithIngress runtime a Reset racing a committed Stop fails with
 // ErrStopPending (definitive: the stop wins, the timer is done), and
@@ -741,29 +730,11 @@ func (t *Timer) Reset(d time.Duration) (wasPending bool, err error) {
 		// current deadline and is disposed of by the drain policy.
 		return false, ErrDraining
 	}
-	ticks = rt.stretch(ticks, wallTicks)
-	if rt.resetInPlaceLocked(t, Tick(ticks)) {
-		// Re-armed in place: still the same pending timer.
+	wasPending, err = rt.rearmLocked(t, Tick(rt.stretch(ticks, wallTicks)))
+	if err == nil {
 		rt.poke()
-		return true, nil
 	}
-	wasPending = rt.stopLocked(t.h, t.id) == nil
-	if wasPending {
-		rt.stopped++
-	}
-	h, err := rt.startLocked(Tick(ticks), t)
-	if err != nil {
-		return wasPending, err
-	}
-	rt.started.Add(1)
-	t.h = h
-	t.id = h.TimerID()
-	t.deadline = rt.fac.Now() + Tick(ticks)
-	t.retries = 0 // a re-armed timer gets a fresh retry budget
-	rt.traceRecord(TraceScheduled, t.id, t.prio, rt.fac.Now(), t.deadline, 0)
-	rt.journalArmed(t)
-	rt.poke()
-	return wasPending, nil
+	return wasPending, err
 }
 
 // Priority reports the timer's overload class.

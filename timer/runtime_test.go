@@ -546,3 +546,57 @@ func TestShardedKeyAffinity(t *testing.T) {
 		t.Fatalf("keyed ticker ran %d times", n.Load())
 	}
 }
+
+// TestResetInPlaceEveryScheme pins Reset on a pending timer as an
+// update, not a lifecycle, on every production scheme: the timer keeps
+// its ID, the started/stopped ledger does not move, and it fires once,
+// at the new deadline.
+func TestResetInPlaceEveryScheme(t *testing.T) {
+	for name, mk := range entrySchemes {
+		t.Run(name, func(t *testing.T) {
+			rt, fc := newManualRuntime(t, WithScheme(mk()))
+			fired := 0
+			tm, err := rt.AfterFunc(time.Second, func() { fired++ })
+			if err != nil {
+				t.Fatal(err)
+			}
+			id := tm.ID()
+			started, _, stopped := rt.Stats()
+			for _, d := range []time.Duration{2 * time.Second, 300 * time.Millisecond} {
+				wasPending, err := tm.Reset(d)
+				if err != nil || !wasPending {
+					t.Fatalf("Reset(%v) = (%v, %v), want (true, nil)", d, wasPending, err)
+				}
+			}
+			if tm.ID() != id {
+				t.Fatalf("Reset changed the ID: %d -> %d", id, tm.ID())
+			}
+			if s, _, p := rt.Stats(); s != started || p != stopped {
+				t.Fatalf("ledger moved: started %d->%d, stopped %d->%d", started, s, stopped, p)
+			}
+			if got := rt.Outstanding(); got != 1 {
+				t.Fatalf("Outstanding=%d after reset, want 1", got)
+			}
+			fc.Advance(290 * time.Millisecond)
+			rt.Poll()
+			if fired != 0 {
+				t.Fatal("fired before the new deadline")
+			}
+			fc.Advance(10 * time.Millisecond)
+			rt.Poll()
+			if fired != 1 {
+				t.Fatalf("fired %d times at the new deadline, want 1", fired)
+			}
+			for i := 0; i < 30; i++ {
+				fc.Advance(100 * time.Millisecond)
+				rt.Poll()
+			}
+			if fired != 1 {
+				t.Fatalf("fired %d times in total, want 1 (old deadlines must not fire)", fired)
+			}
+			if s, e, p := rt.Stats(); s != 1 || e != 1 || p != 0 {
+				t.Fatalf("stats=%d/%d/%d, want 1/1/0", s, e, p)
+			}
+		})
+	}
+}

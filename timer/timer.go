@@ -204,11 +204,11 @@ func NewHybridWheel(size int) Scheme { return hybrid.New(size, nil) }
 // structure of the post-1987 timer literature): timers are grouped by
 // coarse deadline band — bands slots of width ticks each, width a power
 // of two — and a band is sorted only when it comes due. Start, stop,
-// and (the headline) Reset are O(1) worst case: a Runtime on this
-// scheme re-arms timers in place, with no cascade, no
-// re-discretization, and no free-list churn, which beats the wheels
-// when timers are reset on nearly every event (retransmit timers reset
-// per ACK, idle timers per packet). Timers a reset moves away before
+// and (the headline) Reset are O(1) worst case: a reset relinks the
+// entry into its new band with no cascade (Scheme 7) and no
+// per-revolution visits (Scheme 6), which suits timers reset on nearly
+// every event (retransmit timers reset per ACK, idle timers per
+// packet). Timers a reset moves away before
 // their band comes due are never sorted at all. Size bands*width to
 // cover the common interval range, like a wheel's slot count.
 func NewGroupedQueue(bands int, width Tick) Scheme { return gsq.New(bands, width, nil) }
