@@ -11,6 +11,7 @@ package timingwheels
 //	Sec. 6.1  -> BenchmarkScheme5Start / BenchmarkScheme6Ops
 //	Sec. 7    -> BenchmarkSec7Scheme6PerTick
 //	Sec. 6.2  -> BenchmarkScheme7Ops / BenchmarkScheme6VsScheme7Lifetime
+//	          -> BenchmarkScheme7Cascade (the coarse-slot migration burst)
 //	Sec. 5    -> BenchmarkHybridOps (the wheel+overflow combination)
 //	App. A.2  -> BenchmarkRuntimeConcurrent
 //	Stdlib    -> BenchmarkVsStdlib (credibility check vs runtime timers)
@@ -273,6 +274,74 @@ func BenchmarkScheme7Ops(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkScheme7Cascade: the section 6.2 burst. 100k residents 1-2 h
+// out at 1 ms ticks sit on a coarse level; the benchmark times the one
+// tick on which the fullest coarse slot comes due and all its timers
+// migrate down a level at once. Each iteration builds the hierarchy
+// afresh (ns/op is the whole cycle); cascade-ns isolates the burst
+// tick. "twd" is the daemon's hierarchy (256^7 x 64, spanning 2^62
+// ticks), "default" the five-level 256 x 64^4
+// hierarchy, whose 17-minute third level gathers far more per slot.
+func BenchmarkScheme7Cascade(b *testing.B) {
+	const residents = 100_000
+	rng := dist.NewRNG(7)
+	intervals := make([]core.Tick, residents)
+	for i := range intervals {
+		intervals[i] = core.Tick(3_600_000 + rng.Intn(3_600_000))
+	}
+	for _, c := range []struct {
+		name    string
+		radices []int
+	}{
+		{"twd", []int{256, 256, 256, 256, 256, 256, 256, 64}},
+		{"default", hier.DefaultRadices},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var burst time.Duration
+			var moved uint64
+			for i := 0; i < b.N; i++ {
+				s := hier.NewScheme7(c.radices, hier.MigrateAlways, nil)
+				for _, iv := range intervals {
+					if _, err := s.StartTimer(iv, noop); err != nil {
+						b.Fatal(err)
+					}
+				}
+				s.Advance(fullestCascade(s, c.radices) - 1)
+				before := s.Migrations
+				start := time.Now()
+				s.Tick()
+				burst += time.Since(start)
+				moved = s.Migrations - before
+			}
+			b.ReportMetric(float64(moved), "timers/cascade")
+			b.ReportMetric(float64(burst.Nanoseconds())/float64(b.N), "cascade-ns")
+			b.ReportMetric(float64(burst.Nanoseconds())/float64(b.N)/float64(moved), "ns/timer")
+		})
+	}
+}
+
+// fullestCascade reports the tick at which a freshly loaded hierarchy
+// (Now 0) cascades its fullest coarse slot: slot j of level k comes due
+// at j times the level's granularity, slot 0 one revolution later.
+func fullestCascade(s *hier.Scheme7, radices []int) core.Tick {
+	var at core.Tick
+	best := -1
+	gran := core.Tick(radices[0])
+	for k := 1; k < len(radices); k++ {
+		for j, n := range s.SlotOccupancy(k) {
+			if n > best {
+				best = n
+				at = core.Tick(j) * gran
+				if j == 0 {
+					at = core.Tick(radices[k]) * gran
+				}
+			}
+		}
+		gran *= core.Tick(radices[k])
+	}
+	return at
 }
 
 // BenchmarkScheme6VsScheme7Lifetime: the section 6.2 trade-off measured

@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		addr         = fs.String("addr", "127.0.0.1:7474", "listen address")
 		dir          = fs.String("dir", "twd-data", "WAL directory")
 		shards       = fs.Int("shards", 1, "timer facility shards")
-		granularity  = fs.Duration("granularity", 10*time.Millisecond, "tick granularity")
+		granularity  = fs.Duration("granularity", defaultGranularity, "tick granularity: timers fire within one tick of their deadline; the driver sleeps between events, so a finer tick costs no extra wakeups")
 		syncEvery    = fs.Int("sync-every", 64, "fsync after this many unsynced records (0 disables)")
 		syncInterval = fs.Duration("sync-interval", 5*time.Millisecond, "fsync a record nobody commits within this long of its append (0 disables)")
 		snapBytes    = fs.Int64("snapshot-bytes", 8<<20, "segment size that triggers compaction (0 disables)")

@@ -166,6 +166,28 @@ type server struct {
 // no per-timer closure.
 var noop = func() {}
 
+// defaultGranularity is twd's tick. A 1 ms tick costs no more wakeups
+// than a coarse one because the driver is expiry-driven: it sleeps until
+// the hierarchy's next event, so it wakes about as often as timers fire
+// or cascade, whatever the granularity.
+const defaultGranularity = time.Millisecond
+
+// schemeRadices size every shard's hierarchy to span 2^62 ticks, past
+// each interval a runtime can arm: requests are capped at
+// clock.MaxTicks (2^61), and the runtime's stretch of an interval by its
+// facility's lag behind the wall clock saturates there. Seven 256-slot
+// levels and a 64-slot top make 1856 slots; the 256-slot levels keep a
+// coarse slot's cascade small (1-2 h timers sit in 65.5 s slots at
+// 1 ms ticks).
+var schemeRadices = []int{256, 256, 256, 256, 256, 256, 256, 64}
+
+// newScheme builds one shard's facility: Scheme 7, whose NextExpiry lets
+// the tickless driver sleep between events, with exact (always-migrate)
+// expiry.
+func newScheme() timer.Scheme {
+	return timer.NewHierarchicalWheel(schemeRadices, timer.MigrateAlways)
+}
+
 // newServer opens the WAL in cfg.dir, replays it, and — on a primary —
 // starts the facility with the recovered timers and leases re-armed. A
 // standby (cfg.follow) arms nothing: it streams the primary's WAL into
@@ -176,7 +198,7 @@ func newServer(cfg config) (*server, error) {
 		cfg.shards = 1
 	}
 	if cfg.granularity <= 0 {
-		cfg.granularity = 10 * time.Millisecond
+		cfg.granularity = defaultGranularity
 	}
 	if cfg.clk == nil {
 		cfg.clk = clock.Real{}
@@ -222,6 +244,8 @@ func newServer(cfg config) (*server, error) {
 	s.slowNS = slow.Nanoseconds()
 	s.fac = timer.NewSharded(cfg.shards,
 		timer.WithGranularity(cfg.granularity),
+		timer.WithSchemeFactory(newScheme),
+		timer.WithTickless(),
 		timer.WithIngress(0),
 		timer.WithJournal(s),
 		timer.WithClockSource(cfg.clk),

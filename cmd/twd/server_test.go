@@ -5,13 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"timingwheels/clock"
+	iclock "timingwheels/internal/clock"
 	"timingwheels/internal/wal"
+	"timingwheels/timer"
 )
 
 // fixture is an in-process daemon over a temp WAL dir with fast ticks.
@@ -1052,6 +1056,109 @@ func TestResponseBodiesByteIdentical(t *testing.T) {
 			fmt.Sprint(got.Header()) != fmt.Sprint(want.Header()) {
 			t.Errorf("error %d: typed %d %v %q, map %d %v %q", status,
 				got.Code, got.Header(), got.Body, want.Code, want.Header(), want.Body)
+		}
+	}
+}
+
+// TestSchemeSpansEveryInterval: twd's Scheme 7 refuses no interval the
+// runtime can arm. Directly, it holds clock.MaxTicks plus a minute of
+// lag at the default 1 ms tick; through a runtime whose facility lags
+// the wall by that minute (a parked tickless driver), the longest
+// requests are armed, not refused.
+func TestSchemeSpansEveryInterval(t *testing.T) {
+	if _, err := newScheme().StartTimer(timer.Tick(iclock.MaxTicks+60_000), func(timer.ID) {}); err != nil {
+		t.Fatalf("MaxTicks plus a minute of lag refused: %v", err)
+	}
+	fc := clock.NewFake(time.Time{})
+	rt := timer.NewRuntime(
+		timer.WithSchemeFactory(newScheme),
+		timer.WithGranularity(defaultGranularity),
+		timer.WithClockSource(fc),
+		timer.WithManualDriver(),
+	)
+	defer rt.Close()
+	fc.Advance(time.Minute) // unpolled: the facility is 60000 ticks behind
+	if _, err := rt.Schedule(timer.Tick(iclock.MaxTicks), func() {}); err != nil {
+		t.Fatalf("Schedule(MaxTicks) refused: %v", err)
+	}
+	if _, err := rt.AfterFunc(math.MaxInt64, func() {}); err != nil {
+		t.Fatalf("AfterFunc(MaxInt64) refused: %v", err)
+	}
+	if n := rt.Poll(); n != 0 || rt.Outstanding() != 2 {
+		t.Fatalf("after catch-up: fired %d, outstanding %d; want 0 and 2", n, rt.Outstanding())
+	}
+}
+
+// TestTenYearTimerAckedAndReplayed: at the default granularity a timer
+// ten years out is acked (not refused as overloaded), listed, and
+// re-armed by a restart's replay.
+func TestTenYearTimerAckedAndReplayed(t *testing.T) {
+	dir := t.TempDir()
+	f := newFixture(t, func(c *config) { c.dir = dir; c.granularity = 0 })
+	if g := f.srv.cfg.granularity; g != time.Millisecond {
+		t.Fatalf("default granularity %v, want 1ms", g)
+	}
+	const tenYears = 10 * 365 * 24 * time.Hour
+	var ack scheduledAck
+	f.post("/v1/schedule", scheduleItem{AfterMS: tenYears.Milliseconds(), Payload: "decade"}, &ack, 200)
+	if d := time.Until(time.Unix(0, ack.DeadlineNS)); d < tenYears-time.Minute {
+		t.Fatalf("acked deadline %v out, want ten years", d)
+	}
+	type listed struct {
+		Timers []struct {
+			ID         uint64 `json:"id"`
+			DeadlineNS int64  `json:"deadline_unix_ns"`
+		} `json:"timers"`
+	}
+	check := func(f *fixture, when string) {
+		t.Helper()
+		var tl listed
+		f.get("/v1/timers", &tl)
+		if len(tl.Timers) != 1 || tl.Timers[0].ID != ack.ID || tl.Timers[0].DeadlineNS != ack.DeadlineNS {
+			t.Fatalf("%s: listed %+v, want timer %d at %d", when, tl.Timers, ack.ID, ack.DeadlineNS)
+		}
+		if h := f.checkLedger(); h.Outstanding != 1 || h.Fired != 0 {
+			t.Fatalf("%s: outstanding=%d fired=%d, want 1 and 0", when, h.Outstanding, h.Fired)
+		}
+	}
+	check(f, "before restart")
+
+	f.ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	f.srv.shutdown(ctx)
+	cancel()
+	srv2, err := newServer(config{dir: dir, syncEvery: 1})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	f2 := &fixture{t: t, srv: srv2, ts: httptest.NewServer(srv2.routes()), dir: dir}
+	t.Cleanup(func() {
+		f2.ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		srv2.shutdown(ctx)
+	})
+	check(f2, "after replay")
+	if n := srv2.fac.Snapshot().Outstanding; n != 1 {
+		t.Fatalf("facility holds %d timers after replay, want the decade timer armed", n)
+	}
+}
+
+// TestMetricsReportWheelSlots: twd's hierarchy fills the wheel gauges
+// from its finest level.
+func TestMetricsReportWheelSlots(t *testing.T) {
+	f := newFixture(t, nil)
+	var ack scheduledAck
+	// 100 ticks: on the 256-slot finest level, and pending while scraped.
+	f.post("/v1/schedule", scheduleItem{AfterMS: 200}, &ack, 200)
+	body := f.getText("/metrics")
+	for _, want := range []string{
+		fmt.Sprintf("timingwheels_wheel_slots %d", schemeRadices[0]),
+		"timingwheels_wheel_occupied_slots 1",
+		"timingwheels_wheel_max_slot_depth 1",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics missing %q", want)
 		}
 	}
 }

@@ -108,16 +108,24 @@ type Advancer interface {
 	Advance(n Tick) int
 }
 
-// NextExpirer is implemented by facilities that can report the earliest
-// outstanding expiry in O(1) — the property section 3.2 exploits for
-// hosts with "hardware support to maintain a single timer": the hardware
-// timer is set to the head-of-queue expiry and "interrupts the host only
-// when a timer actually expires", instead of on every clock tick.
-// Ordered-list and tree facilities implement it; wheels do not (finding
-// their minimum requires a scan).
+// NextExpirer is implemented by facilities that can report when they
+// next have work — the property section 3.2 exploits for hosts with
+// "hardware support to maintain a single timer": the hardware timer is
+// set to the head-of-queue expiry and "interrupts the host only when a
+// timer actually expires", instead of on every clock tick. Ordered-list
+// and tree facilities answer in O(1), the bounded and hybrid wheels and
+// the hierarchy with one occupancy-bitmap probe per wheel; the hashed
+// wheels cannot (their slots mix revolutions).
+//
+// The answer is a lower bound, not necessarily an expiry: a hierarchy
+// reports the next tick at which it cascades or fires, whichever comes
+// first. A host that sleeps until the reported tick, advances to it, and
+// asks again fires every timer on time; it may wake on ticks that fire
+// nothing.
 type NextExpirer interface {
-	// NextExpiry reports the earliest outstanding expiry tick; ok is
-	// false when no timers are outstanding.
+	// NextExpiry reports a tick no later than the earliest outstanding
+	// expiry, and no earlier than the next tick at which Tick does any
+	// work; ok is false when no timers are outstanding.
 	NextExpiry() (when Tick, ok bool)
 }
 

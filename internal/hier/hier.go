@@ -388,6 +388,10 @@ func (s *Scheme7) cascade(e *core.Entry) {
 	s.place(e)
 }
 
+// Occupancy reports the number of timers in each slot of the finest
+// level, the wheel that fires them (the runtime's WheelStats gauges).
+func (s *Scheme7) Occupancy() []int { return s.SlotOccupancy(0) }
+
 // SlotOccupancy reports the number of timers in each slot of level k,
 // for figure rendering (Figures 10-11 show per-array contents).
 func (s *Scheme7) SlotOccupancy(k int) []int {
@@ -454,10 +458,16 @@ func (s *Scheme7) CheckInvariants() bool {
 	return count == s.n
 }
 
-// nextEventVisit reports the next tick at which any level's cursor lands
-// on an occupied slot (a level-0 firing or a coarser-level cascade); ok
-// is false when no timers are outstanding.
-func (s *Scheme7) nextEventVisit() (core.Tick, bool) {
+// NextExpiry implements core.NextExpirer with a lower bound: the next
+// tick at which any level's cursor lands on an occupied slot, a level-0
+// firing or a coarser-level cascade, whichever comes first. The
+// earliest timer sits in a slot its level's cursor reaches no later
+// than its expiry, so the answer is never after it. The exact earliest
+// expiry would take a scan of a coarse slot; the bound costs an
+// expiry-driven host at most one extra wakeup per cascade, on which it
+// advances, fires nothing, and asks again. One bitmap probe per level;
+// ok is false when no timers are outstanding.
+func (s *Scheme7) NextExpiry() (core.Tick, bool) {
 	if s.n == 0 {
 		return 0, false
 	}
@@ -495,7 +505,7 @@ func (s *Scheme7) Advance(n core.Tick) int {
 	fired := 0
 	target := s.now + n
 	for s.now < target {
-		next, ok := s.nextEventVisit()
+		next, ok := s.NextExpiry()
 		if !ok || next > target {
 			s.now = target
 			s.cost.Read(1)
@@ -514,4 +524,5 @@ var (
 	_ core.EntryScheme = (*Scheme7)(nil)
 	_ core.Resetter    = (*Scheme7)(nil)
 	_ core.Advancer    = (*Scheme7)(nil)
+	_ core.NextExpirer = (*Scheme7)(nil)
 )

@@ -1,6 +1,7 @@
 package hier
 
 import (
+	"sort"
 	"testing"
 
 	"timingwheels/internal/core"
@@ -404,5 +405,141 @@ func TestAdvanceIdleHierarchyIsCheap(t *testing.T) {
 	// The timer migrates a couple of times; each jump probes m bitmaps.
 	if u := cost.Snapshot().Units(); u > 200 {
 		t.Fatalf("Advance over a day cost %d units; expected per-event work", u)
+	}
+}
+
+// TestOccupancyIsFinestLevel: Occupancy reports the finest wheel's
+// per-slot counts, the slots that fire.
+func TestOccupancyIsFinestLevel(t *testing.T) {
+	s := NewScheme7([]int{8, 8}, MigrateAlways, nil)
+	for _, iv := range []core.Tick{3, 3, 5, 20} {
+		if _, err := s.StartTimer(iv, noop); err != nil {
+			t.Fatal(err)
+		}
+	}
+	occ := s.Occupancy()
+	want := []int{0, 0, 0, 2, 0, 1, 0, 0}
+	if len(occ) != len(want) {
+		t.Fatalf("Occupancy has %d slots, want the finest level's 8", len(occ))
+	}
+	for i := range want {
+		if occ[i] != want[i] {
+			t.Fatalf("Occupancy=%v, want %v (the 20-tick timer waits on level 1)", occ, want)
+		}
+	}
+}
+
+// TestNextExpiryTicklessEquivalence is the property a tickless host
+// relies on. NextExpiry is never after the earliest outstanding
+// expiry, and a host that sleeps from event to event — arming timers at
+// wall times in between, against the scheme's stale Now with the
+// interval stretched by the lag, as the runtime does — fires the same
+// timers at the same ticks as a reference stepped tick by tick and armed
+// at the exact wall tick.
+func TestNextExpiryTicklessEquivalence(t *testing.T) {
+	for _, radices := range [][]int{{4, 4, 4}, {8, 4, 2, 16}, {16, 8, 8}} {
+		for seed := uint64(1); seed <= 20; seed++ {
+			checkTicklessEquivalence(t, radices, seed)
+		}
+	}
+}
+
+func checkTicklessEquivalence(t *testing.T, radices []int, seed uint64) {
+	t.Helper()
+	rng := dist.NewRNG(seed)
+	host := NewScheme7(radices, MigrateAlways, nil)
+	ref := NewScheme7(radices, MigrateAlways, nil)
+	span := int(host.MaxInterval())
+	// park is the tick the host sleeps until: the next event, but never
+	// more than idle ticks ahead (the runtime's maxIdle), so the host's
+	// lag behind the wall stays below idle.
+	idle := core.Tick(span / 4)
+	park := func() core.Tick {
+		wake := host.Now() + idle
+		if next, ok := host.NextExpiry(); ok && next < wake {
+			wake = next
+		}
+		return wake
+	}
+	type fire struct {
+		id int
+		at core.Tick
+	}
+	var hostFires, refFires []fire
+	deadlines := map[int]core.Tick{} // outstanding timer -> expiry tick
+	wall := core.Tick(0)
+	wake := park()
+	for step := 0; step < 400; step++ {
+		// Wall time moves on without the host noticing until it passes
+		// the wake tick; then the host advances to it and parks again.
+		// An arm later than wake may have added an earlier cascade:
+		// Advance runs it on the way, as the runtime's Poll does.
+		wall += core.Tick(1 + rng.Intn(span/3+1))
+		for wake <= wall {
+			host.Advance(wake - host.Now())
+			wake = park()
+			checkLowerBound(t, host, deadlines, wake)
+		}
+		for ref.Now() < wall {
+			ref.Tick()
+		}
+		for k := rng.Intn(4); k > 0; k-- {
+			id := len(deadlines) + len(hostFires) + 1
+			// The stretched interval stays inside the hierarchy.
+			lag := wall - host.Now()
+			iv := core.Tick(1 + rng.Intn(span-int(lag)))
+			deadlines[id] = wall + iv
+			if _, err := host.StartTimer(lag+iv, func(core.ID) {
+				hostFires = append(hostFires, fire{id, host.Now()})
+				delete(deadlines, id)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ref.StartTimer(iv, func(core.ID) { refFires = append(refFires, fire{id, ref.Now()}) }); err != nil {
+				t.Fatal(err)
+			}
+			if wall+iv < wake {
+				wake = park() // the poke
+			}
+			checkLowerBound(t, host, deadlines, wake)
+		}
+	}
+	for host.Len() > 0 {
+		host.Advance(wake - host.Now())
+		wake = park()
+		checkLowerBound(t, host, deadlines, wake)
+	}
+	for ref.Len() > 0 {
+		ref.Tick()
+	}
+	if len(hostFires) != len(refFires) || len(hostFires) == 0 {
+		t.Fatalf("radices %v seed %d: host fired %d, reference %d", radices, seed, len(hostFires), len(refFires))
+	}
+	// Order within one tick is not part of the contract.
+	for _, fs := range [][]fire{hostFires, refFires} {
+		sort.Slice(fs, func(i, j int) bool { return fs[i].at < fs[j].at || fs[i].at == fs[j].at && fs[i].id < fs[j].id })
+	}
+	for i := range refFires {
+		if hostFires[i] != refFires[i] {
+			t.Fatalf("radices %v seed %d: fire %d host %+v, reference %+v", radices, seed, i, hostFires[i], refFires[i])
+		}
+	}
+	if !host.CheckInvariants() {
+		t.Fatal("host invariants broken")
+	}
+}
+
+// checkLowerBound asserts that neither NextExpiry nor the tick the host
+// is parked until is later than any outstanding expiry.
+func checkLowerBound(t *testing.T, s *Scheme7, deadlines map[int]core.Tick, wake core.Tick) {
+	t.Helper()
+	next, ok := s.NextExpiry()
+	if ok != (len(deadlines) > 0) {
+		t.Fatalf("NextExpiry ok=%v with %d outstanding", ok, len(deadlines))
+	}
+	for id, d := range deadlines {
+		if next > d || wake > d {
+			t.Fatalf("NextExpiry %d / wake %d after timer %d's expiry %d (now %d)", next, wake, id, d, s.Now())
+		}
 	}
 }

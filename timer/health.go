@@ -342,7 +342,7 @@ func (rt *Runtime) rearmForRetry(t *Timer) bool {
 	}
 	t.deadline = rt.fac.Now() + backoff
 	rt.traceRecord(TraceRetried, t.ID(), t.prio, rt.fac.Now(), t.deadline, 0)
-	rt.poke()
+	rt.wakeFor(int64(t.deadline))
 	return true
 }
 

@@ -2,6 +2,7 @@ package timer
 
 import (
 	"errors"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -231,7 +232,7 @@ func (rt *Runtime) scheduleIngress(ticks int64, fn func(), ch chan time.Time, op
 	rt.started.Add(1)
 	ing.staged.Add(1)
 	if ing.ring.Push(intent{t: t, op: opSchedule, lc: lc, ticks: ticks, wall: wallTicks}) {
-		rt.poke()
+		rt.wakeForStaged(wallTicks + ticks)
 		return t, nil
 	}
 	// Ring full: the driver is behind. Arm synchronously under the lock
@@ -250,9 +251,15 @@ func (rt *Runtime) armIngressFallback(t *Timer, ticks, wallTicks int64) (*Timer,
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.drainIngressLocked()
-	return rt.armIngressFallbackLocked(t, ticks, wallTicks)
+	t, err := rt.armIngressFallbackLocked(t, ticks, wallTicks)
+	if err == nil {
+		rt.wakeFor(int64(t.deadline))
+	}
+	return t, err
 }
 
+// armIngressFallbackLocked arms one staged timer under rt.mu. The
+// caller wakes the tickless driver for it.
 func (rt *Runtime) armIngressFallbackLocked(t *Timer, ticks, wallTicks int64) (*Timer, error) {
 	if rt.closed || rt.draining {
 		err := ErrRuntimeClosed
@@ -272,7 +279,6 @@ func (rt *Runtime) armIngressFallbackLocked(t *Timer, ticks, wallTicks int64) (*
 	// No concurrent Stop can race this store: the *Timer has not been
 	// returned to any caller yet on every path that reaches here.
 	t.lc.Store(t.lc.Load()&^lcStateMask | ingArmed)
-	rt.poke()
 	return t, nil
 }
 
@@ -315,9 +321,11 @@ func (rt *Runtime) stopIngress(t *Timer) bool {
 			}
 			ing := rt.ing
 			if ing.gate.Enter() {
+				// A cancellation never needs an earlier wakeup: the
+				// driver applies it before advancing time.
 				if ing.ring.Push(intent{t: t, op: opStop}) {
 					ing.gate.Leave()
-					rt.poke()
+					rt.wakeForStaged(math.MaxInt64)
 					return true
 				}
 				ing.gate.Leave()
@@ -368,7 +376,7 @@ func (rt *Runtime) resetIngress(t *Timer, d time.Duration) (bool, error) {
 		// incarnation moves on and the reset is void.
 		if ing.ring.Push(intent{t: t, op: opReset, lc: cur&^lcStateMask | ingArmed, ticks: ticks, wall: wallTicks}) {
 			ing.gate.Leave()
-			rt.poke()
+			rt.wakeForStaged(wallTicks + ticks)
 			// Pending as far as this incarnation can tell: no stop is
 			// committed and the re-arm is guaranteed to apply (or to be
 			// superseded by a later stop, exactly as with a synchronous
@@ -379,13 +387,17 @@ func (rt *Runtime) resetIngress(t *Timer, d time.Duration) (bool, error) {
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.resetIngressLocked(t, ticks, wallTicks)
+	wasPending, err := rt.resetIngressLocked(t, ticks, wallTicks)
+	if err == nil {
+		rt.wakeFor(int64(t.deadline))
+	}
+	return wasPending, err
 }
 
 // resetIngressLocked applies one committed reset under rt.mu — the
 // fallback when the intent cannot stage (gate closed, ring full), and
 // the per-item path ResetBatch's locked fallback shares. Caller holds
-// rt.mu.
+// rt.mu and wakes the tickless driver for the new deadline.
 func (rt *Runtime) resetIngressLocked(t *Timer, ticks, wallTicks int64) (bool, error) {
 	if rt.closed {
 		return false, ErrRuntimeClosed
@@ -413,7 +425,6 @@ func (rt *Runtime) resetIngressLocked(t *Timer, ticks, wallTicks int64) (bool, e
 			rt.shedStagedLocked(t)
 			return true, err
 		}
-		rt.poke()
 		return true, nil
 	case ingArmed:
 		// Retire the old incarnation (voiding any staged reset that
@@ -423,11 +434,7 @@ func (rt *Runtime) resetIngressLocked(t *Timer, ticks, wallTicks int64) (bool, e
 		// the documented stop-after-reset outcome (the stop intent
 		// cancels the same entry the reset re-armed in place).
 		t.lc.Add(lcIncar)
-		wasPending, err := rt.rearmLocked(t, Tick(rt.stretch(ticks, wallTicks)))
-		if err == nil {
-			rt.poke()
-		}
-		return wasPending, err
+		return rt.rearmLocked(t, Tick(rt.stretch(ticks, wallTicks)))
 	default:
 		return false, ErrStopPending
 	}
@@ -570,6 +577,7 @@ func (rt *Runtime) ScheduleBatch(reqs []Req) ([]*Timer, error) {
 	}
 	wallTicks := rt.wall.TicksAt(rt.now())
 	var firstErr error
+	earliest := int64(math.MaxInt64)
 	rt.mu.Lock()
 	if rt.closed || rt.draining {
 		err := ErrRuntimeClosed
@@ -600,9 +608,10 @@ func (rt *Runtime) ScheduleBatch(reqs []Req) ([]*Timer, error) {
 		}
 		rt.started.Add(1)
 		timers[i] = t
+		earliest = min(earliest, int64(t.deadline))
 	}
 	rt.mu.Unlock()
-	rt.poke()
+	rt.wakeFor(earliest)
 	return timers, firstErr
 }
 
@@ -630,6 +639,9 @@ func (rt *Runtime) scheduleBatchIngress(reqs []Req, timers []*Timer) ([]*Timer, 
 		idx      [batchChunk]int // buf position -> slot in timers
 		n        int
 		fenced   bool
+		// earliest is the batch's earliest requested deadline; a
+		// chunk the fallback arms stretched lands no earlier.
+		earliest = int64(math.MaxInt64)
 	)
 	chain := rt.acquireTimerChain(len(reqs))
 	flush := func() {
@@ -694,6 +706,7 @@ func (rt *Runtime) scheduleBatchIngress(reqs []Req, timers []*Timer) ([]*Timer, 
 			t: t, op: opSchedule, lc: lc,
 			ticks: rt.wall.TicksFor(q.After), wall: wallTicks,
 		}
+		earliest = min(earliest, wallTicks+buf[n].ticks)
 		idx[n] = i
 		n++
 		if n == batchChunk {
@@ -703,12 +716,13 @@ func (rt *Runtime) scheduleBatchIngress(reqs []Req, timers []*Timer) ([]*Timer, 
 					timers[j] = nil
 				}
 				rt.releaseTimerChain(chain)
+				rt.wakeForStaged(earliest)
 				return timers, firstErr
 			}
 		}
 	}
 	flush()
-	rt.poke()
+	rt.wakeForStaged(earliest)
 	rt.releaseTimerChain(chain)
 	return timers, firstErr
 }
@@ -847,9 +861,7 @@ func (rt *Runtime) stopBatchIngress(timers []*Timer) int {
 		rt.freeTimers = freedHead
 		rt.freeMu.Unlock()
 	}
-	if accepted > 0 {
-		rt.poke()
-	}
+	rt.wakeForStaged(math.MaxInt64)
 	return accepted
 }
 
@@ -885,6 +897,7 @@ func (rt *Runtime) ResetBatch(reqs []ResetReq) (int, error) {
 	wallTicks := rt.wall.TicksAt(rt.now())
 	accepted := 0
 	var firstErr error
+	earliest := int64(math.MaxInt64)
 	locked := false
 	unlock := func() {
 		if locked {
@@ -914,6 +927,7 @@ func (rt *Runtime) ResetBatch(reqs []ResetReq) (int, error) {
 					err = ErrDraining
 				}
 				rt.mu.Unlock()
+				rt.wakeFor(earliest)
 				return accepted, err
 			}
 		}
@@ -927,9 +941,10 @@ func (rt *Runtime) ResetBatch(reqs []ResetReq) (int, error) {
 			continue
 		}
 		accepted++
+		earliest = min(earliest, int64(q.T.deadline))
 	}
 	unlock()
-	rt.poke()
+	rt.wakeFor(earliest)
 	return accepted, firstErr
 }
 
@@ -952,6 +967,9 @@ func (rt *Runtime) resetBatchIngress(reqs []ResetReq) (int, error) {
 		buf      [batchChunk]intent
 		n        int
 		fenced   bool
+		// earliest is the batch's earliest requested deadline; a reset
+		// the fallback applies stretched lands no earlier.
+		earliest = int64(math.MaxInt64)
 	)
 	flush := func() {
 		if n == 0 {
@@ -1015,6 +1033,7 @@ func (rt *Runtime) resetBatchIngress(reqs []ResetReq) (int, error) {
 			t: q.T, op: opReset, lc: cur&^lcStateMask | ingArmed,
 			ticks: rt.wall.TicksFor(q.After), wall: wallTicks,
 		}
+		earliest = min(earliest, wallTicks+buf[n].ticks)
 		n++
 		if n == batchChunk {
 			flush()
@@ -1026,7 +1045,7 @@ func (rt *Runtime) resetBatchIngress(reqs []ResetReq) (int, error) {
 	if !fenced {
 		flush()
 	}
-	rt.poke()
+	rt.wakeForStaged(earliest)
 	return accepted, firstErr
 }
 

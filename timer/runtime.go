@@ -155,6 +155,10 @@ type Runtime struct {
 	stopCh chan struct{}
 	doneCh chan struct{}
 	wake   chan struct{} // tickless driver poke; nil in ticking mode
+	// parkedUntil is the tick the tickless driver sleeps until, stored
+	// under mu by the driver (notParked while it is awake) and read by
+	// admissions outside it: see wakeFor.
+	parkedUntil atomic.Int64
 	// started is atomic because WithIngress producers count admissions
 	// outside rt.mu; stopped stays guarded by mu. Cancellations that
 	// WithIngress producers settle entirely on their side (stop of a
@@ -355,6 +359,7 @@ func NewRuntime(opts ...RuntimeOption) *Runtime {
 	case cfg.tickless:
 		validateTickless(rt.fac)
 		rt.wake = make(chan struct{}, 1)
+		rt.parkedUntil.Store(notParked)
 		go rt.ticklessLoop()
 	default:
 		go rt.loop(cfg.granularity)
@@ -634,7 +639,7 @@ func (rt *Runtime) schedule(ticks int64, fn func(), ch chan time.Time, opts []Sc
 		return nil, err
 	}
 	rt.started.Add(1)
-	rt.poke() // tickless driver may need an earlier wakeup
+	rt.wakeFor(int64(t.deadline))
 	return t, nil
 }
 
@@ -732,7 +737,7 @@ func (t *Timer) Reset(d time.Duration) (wasPending bool, err error) {
 	}
 	wasPending, err = rt.rearmLocked(t, Tick(rt.stretch(ticks, wallTicks)))
 	if err == nil {
-		rt.poke()
+		rt.wakeFor(int64(t.deadline))
 	}
 	return wasPending, err
 }

@@ -170,7 +170,15 @@ func TestShardedSnapshotMerges(t *testing.T) {
 			t.Fatal("timers did not fire")
 		}
 	}
+	// A callback signals before the runtime counts its delivery and
+	// records its duration: let the last one's counters land.
 	snap := s.Snapshot()
+	for settle := time.Now().Add(5 * time.Second); snap.Expired < 64 || snap.CallbackNS.Count < 64; snap = s.Snapshot() {
+		if time.Now().After(settle) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if snap.Shards != 4 {
 		t.Fatalf("Shards=%d, want 4", snap.Shards)
 	}
@@ -193,5 +201,21 @@ func TestShardedSnapshotMerges(t *testing.T) {
 	// Quantiles on the merged histogram stay within the recorded range.
 	if p := snap.FiringLagNS.P99(); p < snap.FiringLagNS.Min || p > snap.FiringLagNS.Max {
 		t.Fatalf("merged P99=%d outside [%d,%d]", p, snap.FiringLagNS.Min, snap.FiringLagNS.Max)
+	}
+}
+
+// TestSnapshotHierarchySlotGauges: a hierarchy reports its finest
+// level's slots in the slot gauges, the wheel that fires.
+func TestSnapshotHierarchySlotGauges(t *testing.T) {
+	rt, _ := newManualRuntime(t,
+		WithScheme(NewHierarchicalWheel([]int{8, 8, 8}, MigrateAlways)))
+	for _, d := range []time.Duration{30, 30, 50, 200} { // ticks 3, 3, 5 on level 0; 20 on level 1
+		if _, err := rt.AfterFunc(d*time.Millisecond, func() {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := rt.Snapshot().Wheel
+	if w.Slots != 8 || w.OccupiedSlots != 2 || w.MaxSlotDepth != 2 {
+		t.Fatalf("Wheel=%+v, want 8 finest slots, 2 occupied, deepest 2", w)
 	}
 }
