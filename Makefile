@@ -15,19 +15,23 @@ test:
 	$(GO) test ./...
 	$(GO) test -short -race ./...
 
-# The pre-merge gate: static analysis, the full suite under -race
+# The pre-merge gate: gofmt over every tracked Go file (git ls-files
+# keeps the benchmark's .bench_build/ out), static analysis, the full
+# suite under -race
 # (which includes the differential model checker), a focused
 # overload/shed/drain soak under -race (deterministic virtual time, so
 # it is quick), the twd end-to-end durability test (schedule, SIGKILL
 # mid-traffic, restart, verify every acked timer fires or survives),
 # 30-second smokes of the batched-ingress, model-checker (mixed-ops and
-# reset-storm), and WAL-replay fuzz targets,
+# reset-storm), WAL-replay, replica-stream and /v1/fired page-decoder
+# fuzz targets,
 # a fleet-simulation smoke (`make sim`: 100k virtual connections, the
 # conservation ledger and firing-lag SLO asserted at exit), a service
 # benchmark smoke (`make svcsmoke`), and a one-iteration benchmark smoke
 # so `make bench` can never rot unnoticed (it compiles and enters every
 # benchmark without measuring anything).
 check:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run Overload -race -short ./timer/ ./internal/schemetest/
@@ -38,6 +42,7 @@ check:
 	$(GO) test -run=xxx -fuzz=FuzzModelResetStorm -fuzztime=30s ./internal/schemetest/
 	$(GO) test -run=xxx -fuzz=FuzzWALReplay -fuzztime=30s ./internal/wal/
 	$(GO) test -run=xxx -fuzz=FuzzReplicaStream -fuzztime=30s ./internal/replica/
+	$(GO) test -run=xxx -fuzz=FuzzFiredPageDecode -fuzztime=30s ./twclient/
 	$(MAKE) sim
 	$(MAKE) svcsmoke
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...

@@ -219,7 +219,7 @@ func TestE2EFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	acked := make(map[uint64]struct{})  // every client-acked admission
+	acked := make(map[uint64]struct{})   // every client-acked admission
 	stopped := make(map[uint64]struct{}) // every client-acked stop
 
 	// Long timers that must survive the failover and fire on B: they

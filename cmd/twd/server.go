@@ -66,8 +66,11 @@ type firedEvent struct {
 	LagNS   int64  `json:"lag_ns"`
 	Payload string `json:"payload,omitempty"`
 	// tlSeq links back to the fire's stage timeline so the first
-	// long-poll delivery can amend the push leg in. Not serialized.
-	tlSeq uint64
+	// long-poll delivery can amend the push leg in; readyNS is when the
+	// event's settle batch finished enqueueing, where the push leg
+	// starts. Not serialized.
+	tlSeq   uint64
+	readyNS int64
 }
 
 // firedRingMax bounds the /v1/fired history.
@@ -140,7 +143,11 @@ type server struct {
 	// on: made by the first poller to park, closed and cleared by the
 	// next fire. nil while nobody waits.
 	firedNotify chan struct{}
-	draining    bool
+	// settleTraces holds, in ring order, the admission trace of each
+	// event the settle batch in progress has put in the ring, for its
+	// timeline; emptied when the batch's timelines are recorded.
+	settleTraces []string
+	draining     bool
 	// unsynced counts appended records nobody commits (fire records and
 	// lease-expiry or orphan cancels) since the last sync request; see
 	// noteUnsyncedLocked.
@@ -160,11 +167,6 @@ type server struct {
 	compacting atomic.Bool
 	stopped    atomic.Bool // shutdown ran (it is one-shot)
 }
-
-// noop is the shared expiry action for every client timer: delivery is
-// observed through the Journal hook, keyed by tag, so admission costs
-// no per-timer closure.
-var noop = func() {}
 
 // defaultGranularity is twd's tick. A 1 ms tick costs no more wakeups
 // than a coarse one because the driver is expiry-driven: it sleeps until
@@ -335,39 +337,94 @@ func (s *server) noteUnsyncedLocked(n int) {
 // Journal implementation. TimerArmed and TimerStopped are no-ops: the
 // daemon logs admissions, cancels, and resets in the handlers, before
 // acking — the WAL record IS the ack's durability. Delivery, though,
-// is the facility's own act, so it is observed here.
+// is the facility's own act, so it is observed here: twd's timers are
+// journal-only (no callback), and the runtime hands each poll's fires
+// to TimersFired as one batch.
 
 func (s *server) TimerArmed(uint64, timer.ID, timer.Tick) {}
 func (s *server) TimerStopped(uint64, timer.ID)           {}
 
-func (s *server) TimerFired(tag uint64, _ timer.ID, _ int64) { s.onSettled(tag, false) }
+// TimersFired settles one poll's fires: the runtime calls it on the
+// driver with no facility lock held, once the poll's deliveries are
+// counted.
+func (s *server) TimersFired(fires []timer.Fire) { s.settle(fires, false) }
+
+// TimerFired settles a fire delivered outside a poll's batch.
+func (s *server) TimerFired(tag uint64, id timer.ID, lagNS int64) {
+	s.settle([]timer.Fire{{Tag: tag, ID: id, LagNS: lagNS}}, false)
+}
 
 // TimerShed runs under a runtime's internal lock when a staged
-// admission is refused; onSettled takes only s.mu and WAL/lease leaf
+// admission is refused; settle takes only s.mu and WAL/lease leaf
 // locks, never a facility lock, so the ordering is safe.
-func (s *server) TimerShed(tag uint64, _ timer.ID) { s.onSettled(tag, true) }
+func (s *server) TimerShed(tag uint64, id timer.ID) {
+	s.settle([]timer.Fire{{Tag: tag, ID: id}}, true)
+}
 
-// onSettled retires one delivered (or shed) timer: WAL fire record,
-// lease detach, fired-ring event. Lag is computed against the durable
-// wall-clock deadline, so a timer that fires on boot replay after
-// downtime reports the true lag, not the re-arm's. A timer still
-// awaiting its handle settles the same way; its publish skips it.
-func (s *server) onSettled(id uint64, wasShed bool) {
+// settle retires a batch of delivered (or shed) timers under one s.mu
+// hold, stamped with one clock read: per timer a WAL fire record, lease
+// detach and fired-ring event, then one stage timeline each and one
+// wake of the /v1/fired long-pollers, so a whole batch leaves on one
+// page.
+// Lag is computed against the durable wall-clock deadline, so a timer
+// that fires on boot replay after downtime reports the true lag, not
+// the re-arm's. A timer still awaiting its handle settles the same
+// way; its publish skips it. A tag no longer in the State was settled
+// by a concurrent cancel (the WAL cancel record wins) and is skipped.
+func (s *server) settle(fires []timer.Fire, wasShed bool) {
 	now := s.clk.Now().UnixNano()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ts, ok := s.state.Timers[id]
-	if !ok {
-		// Settled by a concurrent cancel (the WAL cancel record wins) or
-		// unknown: nothing to do.
-		s.lateSettles++
+	first := s.firedSeq
+	for _, f := range fires {
+		ts, ok := s.state.Timers[f.Tag]
+		if !ok {
+			s.lateSettles++
+			continue
+		}
+		s.settleLocked(f.Tag, ts, now, wasShed)
+	}
+	if s.firedSeq == first {
 		return
 	}
-	s.settleLocked(id, ts, now, wasShed)
+	s.traceSettledLocked(first, now)
+	// Wake the parked /v1/fired long-pollers, if any: a close is a
+	// broadcast.
+	if s.firedNotify != nil {
+		close(s.firedNotify)
+		s.firedNotify = nil
+	}
 }
 
-// settleLocked retires outstanding timer id as fired/shed. Caller holds
-// s.mu.
+// traceSettledLocked records the stage timeline of each event a settle
+// batch that began at startNS put in the ring past seq first: deadline
+// -> wheel fire (the facility's lag) and fire -> ring enqueue. No event
+// of a batch is visible to a long-poller before the batch's last one
+// is enqueued, so enqueue spans the whole batch. The push leg is
+// amended in by the long-poll delivery; shed work never reaches a
+// client, so its timeline ends here. Caller holds s.mu.
+func (s *server) traceSettledLocked(first uint64, startNS int64) {
+	readyNS := s.clk.Now().UnixNano()
+	oldest := s.firedSeq - uint64(len(s.fired)) // newest seq no longer retained
+	if first < oldest {
+		first = oldest // a batch past the ring's size keeps only its tail
+	}
+	traces := s.settleTraces[len(s.settleTraces)-int(s.firedSeq-first):]
+	for i := range traces {
+		ev := &s.fired[(s.firedHead+int(first-oldest)+i)%len(s.fired)]
+		tl := stagetrace.Timeline{Kind: "fire", Trace: traces[i], ID: ev.ID, Count: 1, StartNS: ev.FiredNS - ev.LagNS}
+		tl.Add("fire", ev.LagNS)
+		tl.Add("enqueue", readyNS-startNS)
+		ev.tlSeq = s.stages.Record(tl)
+		ev.readyNS = readyNS
+	}
+	clear(s.settleTraces)
+	s.settleTraces = s.settleTraces[:0]
+}
+
+// settleLocked retires outstanding timer id as fired/shed at nowNS,
+// writing its fired-ring event; the caller records its timeline and
+// wakes the long-pollers. Caller holds s.mu.
 func (s *server) settleLocked(id uint64, ts wal.TimerState, nowNS int64, wasShed bool) {
 	trace, payload := s.traces[id], s.state.Payloads[id]
 	delete(s.handles, id)
@@ -390,30 +447,14 @@ func (s *server) settleLocked(id uint64, ts wal.TimerState, nowNS int64, wasShed
 	if lag < 0 {
 		lag = 0
 	}
-	// The fire's stage timeline: deadline -> wheel fire (the facility's
-	// lag) and fire -> ring enqueue (this settle, WAL append included).
-	// The push leg is amended in by the long-poll delivery; shed work
-	// never reaches a client, so its timeline ends here.
-	tl := stagetrace.Timeline{Kind: "fire", Trace: trace, ID: id, Count: 1, StartNS: ts.Deadline}
-	tl.Add("fire", lag)
-	tl.Add("enqueue", s.clk.Now().UnixNano()-nowNS)
-	tlSeq := s.stages.Record(tl)
 	s.firedSeq++
-	ev := firedEvent{
-		Seq: s.firedSeq, ID: id, FiredNS: nowNS, LagNS: lag, Payload: string(payload),
-		tlSeq: tlSeq,
-	}
+	ev := firedEvent{Seq: s.firedSeq, ID: id, FiredNS: nowNS, LagNS: lag, Payload: string(payload)}
+	s.settleTraces = append(s.settleTraces, trace)
 	if len(s.fired) < firedRingMax {
 		s.fired = append(s.fired, ev)
 	} else {
 		s.fired[s.firedHead] = ev
 		s.firedHead = (s.firedHead + 1) % firedRingMax
-	}
-	// Wake the parked /v1/fired long-pollers, if any: a close is a
-	// broadcast.
-	if s.firedNotify != nil {
-		close(s.firedNotify)
-		s.firedNotify = nil
 	}
 }
 
@@ -652,9 +693,12 @@ func (s *server) admit(items []scheduleItem, sp *stagetrace.Span) ([]scheduledAc
 	}
 	sp.Mark("commit")
 
+	// The deadlines were fixed at decode; arm against a fresh reading so
+	// the append and commit time just spent does not land on the fire.
+	armNS := s.clk.Now().UnixNano()
 	reqs := make([]timer.Req, len(items))
 	for i := range items {
-		reqs[i] = armReq(ids[i], prios[i], deadlines[i], now.UnixNano())
+		reqs[i] = armReq(ids[i], prios[i], deadlines[i], armNS)
 	}
 	timers, err := s.fac.ScheduleBatch(reqs)
 	sp.Mark("arm")
@@ -705,13 +749,15 @@ func (s *server) admit(items []scheduleItem, sp *stagetrace.Span) ([]scheduledAc
 
 // armReq re-expresses wall deadline deadlineNS as a delay from nowNS;
 // one already past arms at the minimum (one tick) and fires on the next
-// poll.
+// poll. nowNS must be read just before the arm: the runtime counts the
+// delay from the arm, so an older reading fires the timer late by its
+// age. The timer is journal-only: its fire is the Journal's TimersFired.
 func armReq(id uint64, prio timer.Priority, deadlineNS, nowNS int64) timer.Req {
 	d := time.Duration(deadlineNS - nowNS)
 	if d < 1 {
 		d = 1
 	}
-	return timer.Req{After: d, Fn: noop, Opt: timer.WithPriority(prio).WithTag(id)}
+	return timer.Req{After: d, Opt: timer.WithPriority(prio).WithTag(id)}
 }
 
 // abortAdmission voids WAL-admitted ids after a downstream failure:
@@ -866,6 +912,13 @@ func (s *server) handleReset(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// The new deadlines were fixed before the append; shorten each delay
+	// by the time spent since, so the commit does not land on the fire.
+	if spent := s.clk.Now().Sub(now); spent > 0 {
+		for i := range rr {
+			rr[i].After = max(rr[i].After-spent, 1)
+		}
+	}
 	accepted, _ := s.fac.ResetBatch(rr)
 	s.maybeCompact()
 	writeJSON(w, map[string]any{"matched": matched, "accepted": accepted})
@@ -1017,12 +1070,12 @@ func (s *server) handleFired(w http.ResponseWriter, r *http.Request) {
 			// pollers claim disjoint first deliveries.
 			type pushMark struct {
 				tlSeq   uint64
-				firedNS int64
+				readyNS int64
 			}
-			var pushes []pushMark
+			pushes := make([]pushMark, 0, len(events))
 			for _, ev := range events {
 				if ev.Seq > s.pushedSeq && ev.tlSeq != 0 {
-					pushes = append(pushes, pushMark{ev.tlSeq, ev.FiredNS})
+					pushes = append(pushes, pushMark{ev.tlSeq, ev.readyNS})
 				}
 			}
 			if len(events) > 0 && events[len(events)-1].Seq > s.pushedSeq {
@@ -1035,19 +1088,19 @@ func (s *server) handleFired(w http.ResponseWriter, r *http.Request) {
 				// returned fire records durable before sending them.
 				s.log.Sync()
 			}
-			if len(pushes) > 0 {
-				pushNS := s.clk.Now().UnixNano()
-				for _, p := range pushes {
-					s.stages.Amend(p.tlSeq, "push", pushNS-p.firedNS)
-				}
+			pushNS := s.clk.Now().UnixNano()
+			writeFired(w, events, next)
+			// Amended after the page is sent: a storm's page carries a
+			// thousand timelines, and the client should not wait for them.
+			for _, p := range pushes {
+				s.stages.Amend(p.tlSeq, "push", pushNS-p.readyNS)
 			}
-			writeJSON(w, firedResponse{Events: events, Next: next})
 			return
 		}
 		remain := time.Until(deadline)
 		if remain <= 0 {
 			s.mu.Unlock()
-			writeJSON(w, firedResponse{Events: []firedEvent{}, Next: next})
+			writeFired(w, []firedEvent{}, next)
 			return
 		}
 		if s.firedNotify == nil {
@@ -1333,11 +1386,6 @@ type (
 	// stopResponse is the /v1/stop reply.
 	stopResponse struct {
 		Stopped bool `json:"stopped"`
-	}
-	// firedResponse is the /v1/fired reply.
-	firedResponse struct {
-		Events []firedEvent `json:"events"`
-		Next   uint64       `json:"next"`
 	}
 	// errorResponse is every error reply: `error` a stable code,
 	// `message` the human detail.

@@ -986,8 +986,9 @@ func TestSyncEveryBoundsFireRecords(t *testing.T) {
 }
 
 // BenchmarkSettleFullRing prices settling one fired timer once the fired
-// ring is full, so every settle overwrites its oldest slot: WAL append,
-// State apply, stage timeline, ring write.
+// ring is full, so every settle overwrites its oldest slot: a one-fire
+// TimersFired batch's lock, WAL append, State apply, ring write and
+// stage timeline.
 func BenchmarkSettleFullRing(b *testing.B) {
 	s, err := newServer(config{dir: b.TempDir(), syncEvery: 64})
 	if err != nil {
@@ -996,12 +997,14 @@ func BenchmarkSettleFullRing(b *testing.B) {
 	defer s.shutdown(context.Background())
 	ts := wal.TimerState{Deadline: time.Now().UnixNano()}
 	payload := []byte("settle-payload")
+	fire := make([]timer.Fire, 1)
 	settle := func(id uint64) {
 		s.mu.Lock()
 		s.state.Timers[id] = ts
 		s.state.Payloads[id] = payload
-		s.settleLocked(id, ts, time.Now().UnixNano(), false)
 		s.mu.Unlock()
+		fire[0].Tag = id
+		s.TimersFired(fire)
 	}
 	for id := uint64(1); id <= firedRingMax; id++ {
 		settle(id)
@@ -1011,6 +1014,13 @@ func BenchmarkSettleFullRing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		settle(uint64(firedRingMax + 1 + i))
 	}
+}
+
+// firedResponse is the /v1/fired reply as encoding/json sees it: the
+// reference writeFired's bytes must match.
+type firedResponse struct {
+	Events []firedEvent `json:"events"`
+	Next   uint64       `json:"next"`
 }
 
 // TestResponseBodiesByteIdentical pins the wire format of the typed
@@ -1040,6 +1050,41 @@ func TestResponseBodiesByteIdentical(t *testing.T) {
 		writeJSON(want, c.untyped)
 		if got.Body.String() != want.Body.String() || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
 			t.Errorf("%s: typed body %q, map body %q", c.name, got.Body, want.Body)
+		}
+	}
+
+	// writeFired builds /v1/fired pages without reflection; they must be
+	// the bytes encoding/json writes for the same firedResponse.
+	var ctl strings.Builder
+	for c := 0; c < 0x20; c++ {
+		ctl.WriteByte(byte(c))
+	}
+	ctl.WriteByte(0x7f)
+	payloads := []string{
+		"", "p", `<script>alert("x&y")</script>`, `quote " and backslash \ \"`,
+		ctl.String(), "naïve 日本語 ✓ 😀", "line\u2028sep\u2029para",
+		"bad utf8 \xff\xfe end", "trunc \xe6\x97", "\x00",
+	}
+	pages := map[string][]firedEvent{"nil": nil, "empty": {}, "one": {{Seq: 1, ID: 2, FiredNS: 3, LagNS: 4}}}
+	var mixed []firedEvent
+	for i, p := range payloads {
+		mixed = append(mixed, firedEvent{Seq: uint64(i), ID: uint64(100 + i), FiredNS: 1_700_000_000_000_000_000, LagNS: int64(i), Payload: p, tlSeq: 5})
+	}
+	pages["payloads"] = mixed
+	pages["extremes"] = []firedEvent{
+		{Seq: math.MaxUint64, ID: math.MaxUint64, FiredNS: math.MaxInt64, LagNS: math.MinInt64},
+		{Seq: 0, ID: 0, FiredNS: math.MinInt64, LagNS: -1},
+		{Seq: 1 << 63, ID: 10, FiredNS: -1_700_000_000, LagNS: math.MaxInt64, Payload: "x"},
+	}
+	for name, events := range pages {
+		for _, next := range []uint64{0, 9, math.MaxUint64} {
+			got, want := httptest.NewRecorder(), httptest.NewRecorder()
+			writeFired(got, events, next)
+			writeJSON(want, firedResponse{Events: events, Next: next})
+			want.Header().Set("Content-Length", fmt.Sprint(want.Body.Len()))
+			if got.Body.String() != want.Body.String() || fmt.Sprint(got.Header()) != fmt.Sprint(want.Header()) {
+				t.Errorf("fired page %s next=%d:\n appender %q\n json     %q", name, next, got.Body, want.Body)
+			}
 		}
 	}
 

@@ -47,8 +47,8 @@ func bucketIndex(v int64) int {
 	if exp <= subBits {
 		return int(u) // exact: one bucket per value
 	}
-	d := exp - subBits                     // decade ≥ 1
-	sub := int(u >> uint(d))               // in [half, subCount)
+	d := exp - subBits       // decade ≥ 1
+	sub := int(u >> uint(d)) // in [half, subCount)
 	return subCount + (d-1)*half + (sub - half)
 }
 

@@ -193,10 +193,7 @@ func (rt *Runtime) drainFireNow(ctx context.Context) {
 		fired := rt.fired
 		rt.fired = rt.takeBuf()
 		rt.mu.Unlock()
-		for _, t := range fired {
-			rt.deliver(t)
-		}
-		rt.putBuf(fired)
+		rt.deliverAll(fired)
 	}
 }
 

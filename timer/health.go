@@ -227,10 +227,13 @@ func (rt *Runtime) noteAnomaly(a Anomaly) {
 // deliver routes one expired timer's action. After-channel sends run
 // inline on the driver goroutine even under async dispatch: they are
 // non-blocking by construction, so shedding them would only strand the
-// receiver. Callback timers run inline, or go to the worker pool under
-// the overload policy; the expiry is counted (per-class delivered) when
-// the action has actually run, not when it was queued.
-func (rt *Runtime) deliver(t *Timer) {
+// receiver. A journal-only timer has no action: its delivery is its
+// journal fire. Callback timers run inline, or go to the worker pool
+// under the overload policy; the expiry is counted (per-class
+// delivered) when the action has actually run, not when it was queued.
+// An inline delivery of a tagged timer is appended to fires, the poll's
+// batch, which deliver returns.
+func (rt *Runtime) deliver(t *Timer, fires []Fire) []Fire {
 	// Firing lag: how far past its deadline the timer is being
 	// delivered, in whole ticks of the facility's clock. Early fires
 	// (DrainFireNow) clamp to zero. lastTick is the post-advance
@@ -248,7 +251,7 @@ func (rt *Runtime) deliver(t *Timer) {
 		default: // buffered cap 1; a second send can't happen, but stay non-blocking
 		}
 		rt.deliveredC[t.prio].Add(1)
-		rt.journalFired(t)
+		fires = rt.appendFire(fires, t, lag)
 		// After timers are runtime-internal — no caller ever holds the
 		// *Timer — so the object recycles immediately.
 		if rt.ing != nil {
@@ -256,13 +259,14 @@ func (rt *Runtime) deliver(t *Timer) {
 		} else {
 			rt.recycleTimer(t)
 		}
-		return
+		return fires
 	}
-	if rt.pool == nil {
-		rt.runCallback(t)
+	if t.fn == nil || rt.pool == nil {
+		if t.fn != nil {
+			rt.runCallback(t)
+		}
 		rt.deliveredC[t.prio].Add(1)
-		rt.journalFired(t)
-		return
+		return rt.appendFire(fires, t, lag)
 	}
 	t.enqNS = rt.now().UnixNano()
 	// The pool carries the *Timer itself and runs rt.runAsync on it: no
@@ -284,11 +288,11 @@ func (rt *Runtime) deliver(t *Timer) {
 			// same guarantee After-channel sends have.
 			rt.runCallback(t)
 			rt.deliveredC[t.prio].Add(1)
-			rt.journalFired(t)
-			return
+			return rt.appendFire(fires, t, lag)
 		}
 		rt.shedOrRetry(t)
 	}
+	return fires
 }
 
 // shedOrRetry disposes of one overloaded expiry action: Normal-class

@@ -558,3 +558,60 @@ func TestRuntimeFallbackScheme(t *testing.T) {
 		})
 	}
 }
+
+// countJournal counts fires; countBatchJournal also takes them in
+// batches. Neither allocates.
+type countJournal struct{ fired *int }
+
+func (countJournal) TimerArmed(uint64, ID, Tick)    {}
+func (countJournal) TimerStopped(uint64, ID)        {}
+func (j countJournal) TimerFired(uint64, ID, int64) { *j.fired++ }
+func (countJournal) TimerShed(uint64, ID)           {}
+
+type countBatchJournal struct{ countJournal }
+
+func (j countBatchJournal) TimersFired(fires []Fire) { *j.fired += len(fires) }
+
+// TestPollFiringAllocFree: a steady-state poll that fires tagged timers
+// into a journal allocates nothing — the fired buffer and the fire batch
+// are reused across polls — whether the journal takes TimersFired or
+// gets the per-fire TimerFired adapter. The timers are journal-only and
+// re-armed in place with Reset, so the cycle itself allocates nothing
+// either.
+func TestPollFiringAllocFree(t *testing.T) {
+	const n = 16
+	for _, batch := range []bool{true, false} {
+		fired := 0
+		var j Journal = countJournal{&fired}
+		if batch {
+			j = countBatchJournal{countJournal{&fired}}
+		}
+		rt, fc := newFakeRuntime(t, WithJournal(j))
+		timers := make([]*Timer, n)
+		for i := range timers {
+			tm, err := rt.Schedule(1, nil, WithTag(uint64(i+1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			timers[i] = tm
+		}
+		cycle := func() {
+			fc.Advance(10 * time.Millisecond)
+			if got := rt.Poll(); got != n {
+				t.Fatalf("poll fired %d, want %d", got, n)
+			}
+			for _, tm := range timers {
+				if _, err := tm.Reset(10 * time.Millisecond); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		cycle() // sizes the buffers
+		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+			t.Fatalf("batch=%v: firing poll allocates %.1f allocs/op, want 0", batch, allocs)
+		}
+		if want := n * 102; fired != want {
+			t.Fatalf("batch=%v: journal saw %d fires, want %d", batch, fired, want)
+		}
+	}
+}

@@ -66,9 +66,10 @@ type Req struct {
 	// After is the delay before Fn runs; it rounds up to a whole tick,
 	// minimum one.
 	After time.Duration
-	// Fn is the expiry action; a nil Fn voids the entry (its slot in
-	// the returned []*Timer is nil and ScheduleBatch reports
-	// ErrNilCallback).
+	// Fn is the expiry action. A nil Fn with a tag in Opt makes a
+	// journal-only timer (see WithTag); an untagged nil Fn voids the
+	// entry (its slot in the returned []*Timer is nil and ScheduleBatch
+	// reports ErrNilCallback).
 	Fn func()
 	// Opt tunes overload behavior (e.g. WithPriority); the zero value
 	// means PriorityNormal.
@@ -560,9 +561,9 @@ const batchChunk = 64
 // batch is armed under a single lock acquisition; on a WithIngress
 // runtime it is staged with a single ring reservation. The returned
 // slice is parallel to reqs; a slot is nil when its request was
-// refused (nil Fn, or an interval the scheme cannot store), and the
-// first such refusal is reported as the error alongside the timers
-// that did get scheduled. On a draining or closed runtime nothing is
+// refused (an untagged nil Fn, or an interval the scheme cannot
+// store), and the first such refusal is reported as the error
+// alongside the timers that did get scheduled. On a draining or closed runtime nothing is
 // scheduled and the slice is nil; if draining begins mid-batch on a
 // WithIngress runtime, entries admitted before the fence stand (the
 // drain policy disposes of them) and the rest are refused with nil
@@ -588,7 +589,7 @@ func (rt *Runtime) ScheduleBatch(reqs []Req) ([]*Timer, error) {
 		return nil, err
 	}
 	for i, q := range reqs {
-		if q.Fn == nil {
+		if q.Fn == nil && !journalOnly(q.Opt) {
 			if firstErr == nil {
 				firstErr = ErrNilCallback
 			}
@@ -683,7 +684,7 @@ func (rt *Runtime) scheduleBatchIngress(reqs []Req, timers []*Timer) ([]*Timer, 
 		n = 0
 	}
 	for i, q := range reqs {
-		if q.Fn == nil {
+		if q.Fn == nil && !journalOnly(q.Opt) {
 			if firstErr == nil {
 				firstErr = ErrNilCallback
 			}

@@ -12,8 +12,9 @@ package timer
 // check. The callbacks must be fast, must not block, and must not call
 // back into the runtime (TimerArmed/TimerStopped run under the
 // runtime's internal lock; TimerFired and TimerShed run on the driver
-// or a dispatch worker, except for a staged admission refused by a
-// bounded scheme, whose TimerShed also runs under the lock).
+// or a dispatch worker with no runtime lock held, except for a staged
+// admission refused by a bounded scheme, whose TimerShed runs under the
+// lock).
 //
 // Timing guarantees, per tag:
 //
@@ -25,6 +26,11 @@ package timer
 //     timer was stopped while still staged (it was never armed).
 //   - TimerFired runs when the expiry action has actually run (or the
 //     After send was delivered), with the delivery lag in nanoseconds.
+//     A journal that also implements FireBatcher receives the fires a
+//     poll delivers inline through TimersFired instead, one call per
+//     poll; TimerFired then carries only fires run by an async dispatch
+//     worker. Either way each fire is reported exactly once, after its
+//     action ran.
 //   - TimerShed runs when the expiry action is definitively dropped
 //     under overload (after retries), or when a staged admission is
 //     refused by a bounded scheme.
@@ -41,6 +47,51 @@ type Journal interface {
 	TimerShed(tag uint64, id ID)
 }
 
+// Fire is one journaled delivery: the timer's tag and facility ID and
+// how late it was delivered, in nanoseconds past its deadline tick.
+type Fire struct {
+	Tag   uint64
+	ID    ID
+	LagNS int64
+}
+
+// FireBatcher is an optional Journal extension that settles a poll's
+// deliveries as one batch — paper §2 prices EXPIRY_PROCESSING per tick,
+// and a durability layer can then take its own lock once per tick
+// rather than once per fire.
+//
+// TimersFired runs once per poll (and once per DrainFireNow burst) that
+// delivered tagged timers inline, on the goroutine that ran the poll,
+// after every expiry action of the poll has run, and with no runtime
+// lock held. fires lists the poll's tagged deliveries in delivery
+// order. The slice is the runtime's reused buffer: it is valid only for
+// the duration of the call and must not be retained.
+type FireBatcher interface {
+	TimersFired(fires []Fire)
+}
+
+// fireLoop adapts a Journal without TimersFired, so the runtime has one
+// delivery path whatever the journal implements.
+type fireLoop struct{ j Journal }
+
+func (f fireLoop) TimersFired(fires []Fire) {
+	for _, x := range fires {
+		f.j.TimerFired(x.Tag, x.ID, x.LagNS)
+	}
+}
+
+// batcherFor returns the fire sink for journal j: j itself when it
+// batches, else a loop over its TimerFired. nil for a nil journal.
+func batcherFor(j Journal) FireBatcher {
+	if j == nil {
+		return nil
+	}
+	if b, ok := j.(FireBatcher); ok {
+		return b
+	}
+	return fireLoop{j}
+}
+
 // WithJournal installs the journal. One journal per runtime; pass the
 // same value to every shard's options for a Sharded facility.
 func WithJournal(j Journal) RuntimeOption {
@@ -51,6 +102,12 @@ func WithJournal(j Journal) RuntimeOption {
 // Journal (and the timer's owner) correlates it by, typically a
 // durable ID that, unlike the facility's ID, survives restarts. Tag 0
 // means untagged: the timer is not journaled.
+//
+// A tagged timer may have a nil callback (AfterFunc, Schedule, or a Req
+// with a nil Fn): it is a journal-only timer, whose delivery is its
+// Journal fire alone. It runs nothing, so it skips the recovery barrier
+// and the callback-duration histogram, and it is never handed to an
+// async dispatch pool.
 func WithTag(tag uint64) ScheduleOption {
 	return ScheduleOption{tag: tag, hasTag: true}
 }
@@ -93,8 +150,9 @@ func (rt *Runtime) journalStopped(t *Timer) {
 	}
 }
 
-// journalFired reports a completed delivery for t if it is tagged,
-// computing the lag the same way the telemetry layer does.
+// journalFired reports a delivery an async dispatch worker completed
+// for t if it is tagged, computing the lag the same way the telemetry
+// layer does. Inline deliveries go through appendFire instead.
 func (rt *Runtime) journalFired(t *Timer) {
 	if rt.journal != nil && t.tag != 0 {
 		lag := rt.lastTick.Load() - int64(t.deadline)
@@ -103,6 +161,27 @@ func (rt *Runtime) journalFired(t *Timer) {
 		}
 		rt.journal.TimerFired(t.tag, t.ID(), lag*rt.granNS)
 	}
+}
+
+// appendFire adds t's delivery, lag ticks late, to the poll's batch if
+// t is tagged. It reads t before the caller may recycle it.
+func (rt *Runtime) appendFire(fires []Fire, t *Timer, lag int64) []Fire {
+	if rt.batcher != nil && t.tag != 0 {
+		fires = append(fires, Fire{Tag: t.tag, ID: t.ID(), LagNS: lag * rt.granNS})
+	}
+	return fires
+}
+
+// journalOnly reports whether a request with a nil callback is a
+// journal-only timer: its options leave it a nonzero tag.
+func journalOnly(opts ...ScheduleOption) bool {
+	var tag uint64
+	for _, o := range opts {
+		if o.hasTag {
+			tag = o.tag
+		}
+	}
+	return tag != 0
 }
 
 // journalShed reports a definitive overload drop for t if it is tagged.

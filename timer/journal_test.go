@@ -2,6 +2,7 @@ package timer
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -488,4 +489,236 @@ func TestDrainFireNowRacesLateScheduleBatch(t *testing.T) {
 			t.Fatalf("round %d admitted nothing; hammer is vacuous", round)
 		}
 	}
+}
+
+// batchJournal is a recordingJournal that also takes fires in batches:
+// TimersFired records each call's fires (copied — the slice is reused)
+// and runs onBatch, if set, inside the call.
+type batchJournal struct {
+	recordingJournal
+	batches [][]Fire
+	onBatch func()
+}
+
+func (j *batchJournal) TimersFired(fires []Fire) {
+	if j.onBatch != nil {
+		j.onBatch()
+	}
+	j.mu.Lock()
+	j.batches = append(j.batches, append([]Fire(nil), fires...))
+	j.mu.Unlock()
+}
+
+// TestTimersFiredOneCallPerPoll: the tagged timers one poll delivers
+// reach a FireBatcher in one TimersFired call, each fire with its own
+// tag, ID and lag, after every callback of the poll ran and with no
+// runtime lock held; untagged timers stay out of the batch, and the
+// per-fire TimerFired is not called.
+func TestTimersFiredOneCallPerPoll(t *testing.T) {
+	for _, ingress := range []bool{false, true} {
+		t.Run(map[bool]string{false: "sync", true: "ingress"}[ingress], func(t *testing.T) {
+			const n = 64
+			j := &batchJournal{}
+			opts := []RuntimeOption{WithJournal(j)}
+			if ingress {
+				opts = append(opts, WithIngress(0))
+			}
+			rt, fc := newFakeRuntime(t, opts...)
+			ran := 0
+			timers := make(map[uint64]*Timer, n)
+			for i := 1; i <= n; i++ {
+				var fn func()
+				if i%2 == 0 {
+					fn = func() { ran++ } // half run a callback, half are journal-only
+				}
+				tm, err := rt.Schedule(Tick(i), fn, WithTag(uint64(i)))
+				if err != nil {
+					t.Fatalf("Schedule(%d): %v", i, err)
+				}
+				timers[uint64(i)] = tm
+			}
+			if _, err := rt.AfterFunc(10*time.Millisecond, func() {}); err != nil { // untagged
+				t.Fatal(err)
+			}
+			j.onBatch = func() {
+				if ran != n/2 {
+					t.Errorf("TimersFired ran after %d of %d callbacks", ran, n/2)
+				}
+				rt.Outstanding() // takes rt.mu: deadlocks if the poll still held it
+			}
+			fc.Advance(n * 10 * time.Millisecond)
+			if got := rt.Poll(); got != n+1 {
+				t.Fatalf("Poll fired %d, want %d", got, n+1)
+			}
+			if len(j.batches) != 1 || len(j.batches[0]) != n {
+				t.Fatalf("TimersFired calls %d (first of %d fires), want 1 call of %d", len(j.batches), len(j.batches), n)
+			}
+			for _, f := range j.batches[0] {
+				// Read after the poll: an ingress timer gets its ID when
+				// its staged schedule applies.
+				if tm := timers[f.Tag]; tm == nil || f.ID != tm.ID() {
+					t.Fatalf("fire tag %d: id %d does not match its timer", f.Tag, f.ID)
+				}
+				if want := int64(n-int(f.Tag)) * int64(10*time.Millisecond); f.LagNS != want {
+					t.Fatalf("fire tag %d: lag %dns, want %dns", f.Tag, f.LagNS, want)
+				}
+				delete(timers, f.Tag)
+			}
+			if len(timers) != 0 {
+				t.Fatalf("%d tagged timers missing from the batch", len(timers))
+			}
+			for _, e := range j.events {
+				if e.kind == "fired" {
+					t.Fatalf("TimerFired called for tag %d alongside TimersFired", e.tag)
+				}
+			}
+			fc.Advance(10 * time.Millisecond)
+			rt.Poll()
+			if len(j.batches) != 1 {
+				t.Fatalf("a poll that fired no tagged timer called TimersFired")
+			}
+			checkConservation(t, rt)
+		})
+	}
+}
+
+// TestJournalWithoutBatcherSeesEachFire: a Journal without TimersFired
+// still gets one TimerFired per tagged delivery, with its lag.
+func TestJournalWithoutBatcherSeesEachFire(t *testing.T) {
+	const n = 32
+	j := &recordingJournal{}
+	rt, fc := newFakeRuntime(t, WithJournal(j))
+	for i := 1; i <= n; i++ {
+		var fn func()
+		if i%2 == 0 {
+			fn = func() {}
+		}
+		if _, err := rt.Schedule(Tick(i), fn, WithTag(uint64(i))); err != nil {
+			t.Fatalf("Schedule(%d): %v", i, err)
+		}
+	}
+	fc.Advance(n * 10 * time.Millisecond)
+	rt.Poll()
+	for i := 1; i <= n; i++ {
+		ev := j.byTag(uint64(i))
+		if !sameKinds(ev, "armed", "fired") {
+			t.Fatalf("tag %d: %v, want [armed fired]", i, kinds(ev))
+		}
+		if want := int64(n-i) * int64(10*time.Millisecond); ev[1].lag != want {
+			t.Fatalf("tag %d: lag %dns, want %dns", i, ev[1].lag, want)
+		}
+	}
+	checkConservation(t, rt)
+}
+
+// TestJournalOnlyTimer: a tagged request with a nil callback is
+// accepted by every scheduling call and fires through the journal
+// without running (or timing) a callback; an untagged nil callback, or
+// one tagged 0, is still refused with ErrNilCallback.
+func TestJournalOnlyTimer(t *testing.T) {
+	for _, ingress := range []bool{false, true} {
+		t.Run(map[bool]string{false: "sync", true: "ingress"}[ingress], func(t *testing.T) {
+			j := &batchJournal{}
+			opts := []RuntimeOption{WithJournal(j), WithAsyncDispatch(1, 4)}
+			if ingress {
+				opts = append(opts, WithIngress(0))
+			}
+			rt, fc := newFakeRuntime(t, opts...)
+			if _, err := rt.AfterFunc(10*time.Millisecond, nil, WithTag(1)); err != nil {
+				t.Fatalf("tagged AfterFunc(nil): %v", err)
+			}
+			if _, err := rt.Schedule(1, nil, WithPriority(PriorityCritical), WithTag(2)); err != nil {
+				t.Fatalf("tagged Schedule(nil): %v", err)
+			}
+			timers, err := rt.ScheduleBatch([]Req{
+				{After: 10 * time.Millisecond, Opt: WithTag(3)},
+				{After: 10 * time.Millisecond},
+				{After: 10 * time.Millisecond, Opt: WithPriority(PriorityBestEffort).WithTag(0)},
+			})
+			if !errors.Is(err, ErrNilCallback) || timers[0] == nil || timers[1] != nil || timers[2] != nil {
+				t.Fatalf("ScheduleBatch: err=%v timers=%v; want tagged slot armed, untagged slots refused", err, timers)
+			}
+			if _, err := rt.AfterFunc(10*time.Millisecond, nil); !errors.Is(err, ErrNilCallback) {
+				t.Fatalf("untagged AfterFunc(nil): err=%v, want ErrNilCallback", err)
+			}
+			if _, err := rt.Schedule(1, nil, WithTag(5), WithTag(0)); !errors.Is(err, ErrNilCallback) {
+				t.Fatalf("Schedule(nil) retagged 0: err=%v, want ErrNilCallback", err)
+			}
+			fc.Advance(10 * time.Millisecond)
+			rt.Poll()
+			if len(j.batches) != 1 || len(j.batches[0]) != 3 {
+				t.Fatalf("TimersFired batches %v, want one batch of tags 1-3", j.batches)
+			}
+			h := rt.Health()
+			if h.Delivered != 3 || h.Dispatched != 0 {
+				t.Fatalf("delivered=%d dispatched=%d, want 3 inline deliveries", h.Delivered, h.Dispatched)
+			}
+			if c := rt.Snapshot().CallbackNS.Count; c != 0 {
+				t.Fatalf("journal-only timers recorded %d callback durations", c)
+			}
+			checkConservation(t, rt)
+		})
+	}
+}
+
+// TestTimersFiredConcurrentPolls: polls racing on several goroutines
+// each hand their own batch to TimersFired — the pooled fire buffers
+// are never shared — and every tagged timer is reported exactly once.
+func TestTimersFiredConcurrentPolls(t *testing.T) {
+	const producers, perProducer, pollers = 4, 500, 3
+	j := &batchJournal{}
+	rt, fc := newFakeRuntime(t, WithJournal(j))
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < perProducer; i++ {
+				tag := uint64(p*perProducer + i + 1)
+				if _, err := rt.Schedule(Tick(1+i%7), nil, WithTag(tag)); err != nil {
+					t.Errorf("Schedule: %v", err)
+					return
+				}
+			}
+		}(p)
+	}
+	stop := make(chan struct{})
+	var pollWG sync.WaitGroup
+	for p := 0; p < pollers; p++ {
+		pollWG.Add(1)
+		go func() {
+			defer pollWG.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				fc.Advance(10 * time.Millisecond)
+				rt.Poll()
+			}
+		}()
+	}
+	wg.Wait()
+	fc.Advance(time.Second)
+	for rt.Outstanding() > 0 {
+		rt.Poll()
+	}
+	close(stop)
+	pollWG.Wait()
+	seen := make(map[uint64]int)
+	for _, b := range j.batches {
+		for _, f := range b {
+			seen[f.Tag]++
+		}
+	}
+	if len(seen) != producers*perProducer {
+		t.Fatalf("%d tags fired, want %d", len(seen), producers*perProducer)
+	}
+	for tag, n := range seen {
+		if n != 1 {
+			t.Fatalf("tag %d reported %d times", tag, n)
+		}
+	}
+	checkConservation(t, rt)
 }

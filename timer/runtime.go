@@ -178,6 +178,7 @@ type Runtime struct {
 	freeMu     sync.Mutex
 	freeTimers *Timer
 	bufs       [][]*Timer
+	fireBufs   [][]Fire
 
 	// Hardening configuration (immutable after NewRuntime).
 	panicHandler func(recovered any)
@@ -192,8 +193,11 @@ type Runtime struct {
 	shedHandler  func(ShedInfo)
 
 	// journal is the durability hook (immutable after NewRuntime); nil
-	// unless WithJournal. See journal.go.
+	// unless WithJournal. batcher is where a poll's fires go: the
+	// journal itself when it implements FireBatcher, else a loop over
+	// its TimerFired. See journal.go.
 	journal Journal
+	batcher FireBatcher
 
 	// Telemetry (always on). The histograms are lock-free fixed arrays,
 	// recorded into from the hot path with atomic increments only;
@@ -327,6 +331,7 @@ func NewRuntime(opts ...RuntimeOption) *Runtime {
 		batchHist:    hdr.New(),
 		granNS:       cfg.granularity.Nanoseconds(),
 		journal:      cfg.journal,
+		batcher:      batcherFor(cfg.journal),
 	}
 	if cfg.traceCap > 0 {
 		rt.trace = newTraceRing(cfg.traceCap, cfg.traceSink)
@@ -432,6 +437,47 @@ func (rt *Runtime) putBuf(b []*Timer) {
 	rt.freeMu.Unlock()
 }
 
+// takeFires pops a spare fire-batch buffer (nil when none, as takeBuf).
+func (rt *Runtime) takeFires() []Fire {
+	rt.freeMu.Lock()
+	defer rt.freeMu.Unlock()
+	if n := len(rt.fireBufs); n > 0 {
+		b := rt.fireBufs[n-1]
+		rt.fireBufs = rt.fireBufs[:n-1]
+		return b
+	}
+	return nil
+}
+
+// putFires returns a fire-batch buffer to the pool. Fire holds no
+// pointers, so nothing needs clearing.
+func (rt *Runtime) putFires(b []Fire) {
+	if b == nil {
+		return
+	}
+	rt.freeMu.Lock()
+	rt.fireBufs = append(rt.fireBufs, b[:0])
+	rt.freeMu.Unlock()
+}
+
+// deliverAll runs one poll's expired timers outside rt.mu, then hands
+// their journaled fires to the batcher in one call, and returns the
+// buffers to their pools. Poll and DrainFireNow's bursts share it.
+func (rt *Runtime) deliverAll(fired []*Timer) {
+	var fires []Fire
+	if rt.batcher != nil && len(fired) > 0 {
+		fires = rt.takeFires()
+	}
+	for _, t := range fired {
+		fires = rt.deliver(t, fires)
+	}
+	if len(fires) > 0 {
+		rt.batcher.TimersFired(fires)
+	}
+	rt.putFires(fires)
+	rt.putBuf(fired)
+}
+
 // loop is the PER_TICK_BOOKKEEPING driver: it wakes every granularity
 // and catches the facility up to wall time, so a delayed wakeup runs
 // several ticks back to back rather than skewing all future timers.
@@ -512,29 +558,28 @@ func (rt *Runtime) Poll() int {
 	// AfterFunc / Stop without self-deadlock. deliver applies the
 	// recovery barrier, the slow-callback watchdog, and — when async
 	// dispatch is on — the bounded pool with shed-on-full semantics.
-	for _, t := range fired {
-		rt.deliver(t)
-	}
 	n := len(fired)
+	rt.deliverAll(fired)
 	rt.batchHist.Record(int64(n))
-	rt.putBuf(fired)
 	return n
 }
 
 // AfterFunc schedules fn to run once, d from now (rounded up to a whole
 // tick, minimum one tick). The returned Timer can be stopped. Options
-// (e.g. WithPriority) tune how the expiry behaves under overload.
+// (e.g. WithPriority) tune how the expiry behaves under overload. fn
+// may be nil only for a tagged, journal-only timer (see WithTag).
 func (rt *Runtime) AfterFunc(d time.Duration, fn func(), opts ...ScheduleOption) (*Timer, error) {
-	if fn == nil {
+	if fn == nil && !journalOnly(opts...) {
 		return nil, ErrNilCallback
 	}
 	return rt.schedule(rt.wall.TicksFor(d), fn, nil, opts)
 }
 
 // Schedule schedules fn to run once after the given number of whole
-// ticks (minimum one).
+// ticks (minimum one). fn may be nil only for a tagged, journal-only
+// timer (see WithTag).
 func (rt *Runtime) Schedule(ticks Tick, fn func(), opts ...ScheduleOption) (*Timer, error) {
-	if fn == nil {
+	if fn == nil && !journalOnly(opts...) {
 		return nil, ErrNilCallback
 	}
 	if ticks < 1 {

@@ -278,7 +278,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 			continue
 		}
 		c.noteTerm(resp)
-		body, rerr := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+		body, rerr := readBody(resp)
 		resp.Body.Close()
 
 		switch {
@@ -288,7 +288,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 				continue
 			}
 			if out != nil {
-				if err := json.Unmarshal(body, out); err != nil {
+				if err := decodeBody(body, out); err != nil {
 					return fmt.Errorf("twclient: decode %s: %w", path, err)
 				}
 			}
@@ -329,8 +329,32 @@ func (e *httpRetryError) Error() string {
 	return fmt.Sprintf("twd: retryable %d %s", e.status, e.code)
 }
 
+// maxBody caps a response body the client reads.
+const maxBody = 8 << 20
+
+// readBody reads a response body of up to maxBody bytes, into one
+// buffer sized from Content-Length when the server sent one (twd does
+// for /v1/fired pages, which run to ~100 KB).
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n > 0 && n <= maxBody {
+		body := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, body)
+		return body, err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxBody))
+}
+
+// decodeBody decodes a success body into out: a /v1/fired page through
+// its own parser, anything else with encoding/json.
+func decodeBody(body []byte, out any) error {
+	if page, ok := out.(*FiredPage); ok {
+		return page.decodeBody(body)
+	}
+	return json.Unmarshal(body, out)
+}
+
 func decodeJSON(resp *http.Response, v any) error {
-	return json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(v)
+	return json.NewDecoder(io.LimitReader(resp.Body, maxBody)).Decode(v)
 }
 
 func errorCode(body []byte) string {
