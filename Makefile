@@ -19,10 +19,10 @@ test:
 # keeps the benchmark's .bench_build/ out), static analysis, the full
 # suite under -race
 # (which includes the differential model checker), a focused
-# overload/shed/drain soak under -race (deterministic virtual time, so
-# it is quick), the twd end-to-end durability test (schedule, SIGKILL
+# drain/shutdown soak under -race (deterministic virtual time, so it is
+# quick), the twd end-to-end durability test (schedule, SIGKILL
 # mid-traffic, restart, verify every acked timer fires or survives),
-# 30-second smokes of the batched-ingress, model-checker (mixed-ops and
+# 30-second smokes of the batch-API, model-checker (mixed-ops and
 # reset-storm), WAL-replay, replica-stream and /v1/fired page-decoder
 # fuzz targets,
 # a fleet-simulation smoke (`make sim`: 100k virtual connections, the
@@ -34,10 +34,10 @@ check:
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run Overload -race -short ./timer/ ./internal/schemetest/
+	$(GO) test -run Drain -race -short ./timer/ ./internal/schemetest/
 	$(GO) test -run=TestE2ECrashRecovery -count=1 -v ./cmd/twd/
 	$(GO) test -race -run=TestE2EFailover -count=1 -v ./cmd/twd/
-	$(GO) test -run=xxx -fuzz=FuzzBatchIngress -fuzztime=30s ./timer/
+	$(GO) test -run=xxx -fuzz=FuzzBatchLocked -fuzztime=30s ./timer/
 	$(GO) test -run=xxx -fuzz=FuzzModelMixedOps -fuzztime=30s ./internal/schemetest/
 	$(GO) test -run=xxx -fuzz=FuzzModelResetStorm -fuzztime=30s ./internal/schemetest/
 	$(GO) test -run=xxx -fuzz=FuzzWALReplay -fuzztime=30s ./internal/wal/
@@ -49,7 +49,7 @@ check:
 
 # Fleet-simulation smoke: 100k simulated connections, 4 virtual hours,
 # compressed into a few wall seconds. twfleet exits non-zero unless the
-# started == delivered+shed+stopped+outstanding+abandoned ledger closes
+# started == delivered+stopped+outstanding+abandoned ledger closes
 # exactly and p99.9 firing lag stays within the SLO.
 sim:
 	$(GO) run ./cmd/twfleet -conns 100000 -shards 2 -hours 4
@@ -96,14 +96,14 @@ benchall:
 experiments:
 	$(GO) run ./cmd/twbench | tee results_twbench.txt
 
-# Short fuzz bursts over the conformance and batched-ingress targets.
+# Short fuzz bursts over the conformance and batch-API targets.
 fuzz:
 	$(GO) test -run=xxx -fuzz=FuzzScheme6Conformance -fuzztime=30s ./internal/schemetest/
 	$(GO) test -run=xxx -fuzz=FuzzScheme7Conformance -fuzztime=30s ./internal/schemetest/
 	$(GO) test -run=xxx -fuzz=FuzzHybridConformance -fuzztime=30s ./internal/schemetest/
 	$(GO) test -run=xxx -fuzz=FuzzModelMixedOps -fuzztime=30s ./internal/schemetest/
 	$(GO) test -run=xxx -fuzz=FuzzModelResetStorm -fuzztime=30s ./internal/schemetest/
-	$(GO) test -run=xxx -fuzz=FuzzBatchIngress -fuzztime=30s ./timer/
+	$(GO) test -run=xxx -fuzz=FuzzBatchLocked -fuzztime=30s ./timer/
 
 fmt:
 	gofmt -w .

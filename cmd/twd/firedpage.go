@@ -51,7 +51,7 @@ func appendFiredPage(b []byte, events []firedEvent, next uint64) []byte {
 			b = strconv.AppendInt(b, ev.FiredNS, 10)
 			b = append(b, `,"lag_ns":`...)
 			b = strconv.AppendInt(b, ev.LagNS, 10)
-			if ev.Payload != "" {
+			if len(ev.Payload) > 0 {
 				b = append(b, `,"payload":`...)
 				b = appendJSONString(b, ev.Payload)
 			}
@@ -71,7 +71,7 @@ const hexDigits = "0123456789abcdef"
 // escapes for quote, backslash, \b, \f, \n, \r and \t, other control
 // bytes as \u00XX, each invalid UTF-8 byte as \ufffd, and U+2028 and
 // U+2029 escaped.
-func appendJSONString(b []byte, s string) []byte {
+func appendJSONString(b []byte, s []byte) []byte {
 	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -102,7 +102,7 @@ func appendJSONString(b []byte, s string) []byte {
 			start = i
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
+		r, size := utf8.DecodeRune(s[i:])
 		switch {
 		case r == utf8.RuneError && size == 1:
 			b = append(b, s[start:i]...)

@@ -34,14 +34,13 @@ func (s *server) replay() error {
 	// compaction shrinks: re-issuing a settled timer's ID would let a
 	// client holding the stale ID stop an unrelated new timer.
 	s.nextID.Store(st.NextID)
+	// Lease IDs likewise: a released lease is gone from the State, but
+	// a client holding its ID must not reach a new lease through it.
+	s.leases.ReserveIDs(st.NextLeaseID)
 	s.handles = make(map[uint64]*timer.Timer, len(st.Timers))
 	now := s.clk.Now().UnixNano()
 	for id, ts := range st.Timers {
-		prio := timer.Priority(ts.Class)
-		if prio != timer.PriorityBestEffort && prio != timer.PriorityCritical {
-			prio = timer.PriorityNormal
-		}
-		reqs = append(reqs, armReq(id, prio, ts.Deadline, now))
+		reqs = append(reqs, armReq(id, ts.Deadline, now))
 		ids = append(ids, id)
 		if len(reqs) == replayChunk {
 			if err := s.armChunkLocked(ids, reqs); err != nil {

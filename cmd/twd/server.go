@@ -60,17 +60,33 @@ type config struct {
 
 // firedEvent is one delivery, kept in a bounded ring for /v1/fired.
 type firedEvent struct {
-	Seq     uint64 `json:"seq"`
-	ID      uint64 `json:"id"`
-	FiredNS int64  `json:"fired_unix_ns"`
-	LagNS   int64  `json:"lag_ns"`
-	Payload string `json:"payload,omitempty"`
+	Seq     uint64  `json:"seq"`
+	ID      uint64  `json:"id"`
+	FiredNS int64   `json:"fired_unix_ns"`
+	LagNS   int64   `json:"lag_ns"`
+	Payload payload `json:"payload,omitempty"`
 	// tlSeq links back to the fire's stage timeline so the first
 	// long-poll delivery can amend the push leg in; readyNS is when the
 	// event's settle batch finished enqueueing, where the push leg
 	// starts. Not serialized.
 	tlSeq   uint64
 	readyNS int64
+}
+
+// payload is a fired event's opaque payload: the State's own slice,
+// shared rather than copied. Nothing writes to a payload once it is
+// admitted, and the State drops its reference when the timer settles,
+// so the fired ring can keep it as it is. It travels as a JSON string,
+// the form it was admitted in.
+type payload []byte
+
+// MarshalText makes encoding/json write the payload as a string.
+func (p payload) MarshalText() ([]byte, error) { return p, nil }
+
+// UnmarshalText reads the payload back from a JSON string.
+func (p *payload) UnmarshalText(b []byte) error {
+	*p = append((*p)[:0], b...)
+	return nil
 }
 
 // firedRingMax bounds the /v1/fired history.
@@ -83,9 +99,10 @@ const firedRingMax = 8192
 // handles, traces, fired ring) and for every wal.Append — serializing
 // appends against compaction, which seeds the snapshot from the State
 // under the same lock. The WAL's and lease table's internal mutexes are
-// leaves under s.mu. The facility is NEVER called with s.mu held: the journal's
-// TimerShed hook runs under a runtime's internal lock and takes s.mu,
-// so a facility call under s.mu would deadlock. No fsync runs under s.mu
+// leaves under s.mu. The facility is never called with s.mu held, so
+// no request waits on a runtime lock while holding the daemon's, and
+// the driver's settle (which takes s.mu) never queues behind one. No
+// fsync runs under s.mu
 // or on the timer driver: wal.Commit happens outside s.mu on the
 // request's goroutine, and the -sync-every count trigger for records
 // nobody commits is handed to syncLoop.
@@ -153,9 +170,8 @@ type server struct {
 	// noteUnsyncedLocked.
 	unsynced int
 
-	// shed counts settles the facility refused rather than delivered;
 	// lateSettles counts fires that found their timer already cancelled.
-	shed, lateSettles uint64
+	lateSettles uint64
 
 	recovered *wal.RecoverResult
 
@@ -248,7 +264,6 @@ func newServer(cfg config) (*server, error) {
 		timer.WithGranularity(cfg.granularity),
 		timer.WithSchemeFactory(newScheme),
 		timer.WithTickless(),
-		timer.WithIngress(0),
 		timer.WithJournal(s),
 		timer.WithClockSource(cfg.clk),
 		// The facility's own flight recorder, wall-stamped so
@@ -258,6 +273,7 @@ func newServer(cfg config) (*server, error) {
 	s.leases = lease.NewTable(s.fac, lease.Config{
 		DefaultTTL: cfg.defaultTTL,
 		OnExpire:   s.onLeaseExpired,
+		Now:        cfg.clk.Now,
 	})
 
 	switch {
@@ -347,21 +363,15 @@ func (s *server) TimerStopped(uint64, timer.ID)           {}
 // TimersFired settles one poll's fires: the runtime calls it on the
 // driver with no facility lock held, once the poll's deliveries are
 // counted.
-func (s *server) TimersFired(fires []timer.Fire) { s.settle(fires, false) }
+func (s *server) TimersFired(fires []timer.Fire) { s.settle(fires) }
 
-// TimerFired settles a fire delivered outside a poll's batch.
+// TimerFired completes the Journal interface; the runtime hands twd's
+// fires to TimersFired, so this sees none.
 func (s *server) TimerFired(tag uint64, id timer.ID, lagNS int64) {
-	s.settle([]timer.Fire{{Tag: tag, ID: id, LagNS: lagNS}}, false)
+	s.settle([]timer.Fire{{Tag: tag, ID: id, LagNS: lagNS}})
 }
 
-// TimerShed runs under a runtime's internal lock when a staged
-// admission is refused; settle takes only s.mu and WAL/lease leaf
-// locks, never a facility lock, so the ordering is safe.
-func (s *server) TimerShed(tag uint64, id timer.ID) {
-	s.settle([]timer.Fire{{Tag: tag, ID: id}}, true)
-}
-
-// settle retires a batch of delivered (or shed) timers under one s.mu
+// settle retires a batch of delivered timers under one s.mu
 // hold, stamped with one clock read: per timer a WAL fire record, lease
 // detach and fired-ring event, then one stage timeline each and one
 // wake of the /v1/fired long-pollers, so a whole batch leaves on one
@@ -371,7 +381,7 @@ func (s *server) TimerShed(tag uint64, id timer.ID) {
 // the re-arm's. A timer still awaiting its handle settles the same
 // way; its publish skips it. A tag no longer in the State was settled
 // by a concurrent cancel (the WAL cancel record wins) and is skipped.
-func (s *server) settle(fires []timer.Fire, wasShed bool) {
+func (s *server) settle(fires []timer.Fire) {
 	now := s.clk.Now().UnixNano()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -382,7 +392,7 @@ func (s *server) settle(fires []timer.Fire, wasShed bool) {
 			s.lateSettles++
 			continue
 		}
-		s.settleLocked(f.Tag, ts, now, wasShed)
+		s.settleLocked(f.Tag, ts, now)
 	}
 	if s.firedSeq == first {
 		return
@@ -401,8 +411,7 @@ func (s *server) settle(fires []timer.Fire, wasShed bool) {
 // -> wheel fire (the facility's lag) and fire -> ring enqueue. No event
 // of a batch is visible to a long-poller before the batch's last one
 // is enqueued, so enqueue spans the whole batch. The push leg is
-// amended in by the long-poll delivery; shed work never reaches a
-// client, so its timeline ends here. Caller holds s.mu.
+// amended in by the long-poll delivery. Caller holds s.mu.
 func (s *server) traceSettledLocked(first uint64, startNS int64) {
 	readyNS := s.clk.Now().UnixNano()
 	oldest := s.firedSeq - uint64(len(s.fired)) // newest seq no longer retained
@@ -422,10 +431,10 @@ func (s *server) traceSettledLocked(first uint64, startNS int64) {
 	s.settleTraces = s.settleTraces[:0]
 }
 
-// settleLocked retires outstanding timer id as fired/shed at nowNS,
-// writing its fired-ring event; the caller records its timeline and
-// wakes the long-pollers. Caller holds s.mu.
-func (s *server) settleLocked(id uint64, ts wal.TimerState, nowNS int64, wasShed bool) {
+// settleLocked retires outstanding timer id as fired at nowNS, writing
+// its fired-ring event; the caller records its timeline and wakes the
+// long-pollers. Caller holds s.mu.
+func (s *server) settleLocked(id uint64, ts wal.TimerState, nowNS int64) {
 	trace, payload := s.traces[id], s.state.Payloads[id]
 	delete(s.handles, id)
 	delete(s.traces, id)
@@ -440,15 +449,12 @@ func (s *server) settleLocked(id uint64, ts wal.TimerState, nowNS int64, wasShed
 	s.log.Append(rec)
 	s.state.Apply(rec)
 	s.noteUnsyncedLocked(1)
-	if wasShed {
-		s.shed++
-	}
 	lag := nowNS - ts.Deadline
 	if lag < 0 {
 		lag = 0
 	}
 	s.firedSeq++
-	ev := firedEvent{Seq: s.firedSeq, ID: id, FiredNS: nowNS, LagNS: lag, Payload: string(payload)}
+	ev := firedEvent{Seq: s.firedSeq, ID: id, FiredNS: nowNS, LagNS: lag, Payload: payload}
 	s.settleTraces = append(s.settleTraces, trace)
 	if len(s.fired) < firedRingMax {
 		s.fired = append(s.fired, ev)
@@ -570,16 +576,40 @@ type scheduledAck struct {
 	DeadlineNS int64  `json:"deadline_unix_ns"`
 }
 
-func parseClass(s string) (timer.Priority, bool) {
+// class is a timer's client-declared class: an opaque byte in the WAL
+// and a label on /v1/timers, which the facility gives no meaning.
+type class uint8
+
+// Timer classes, numbered as logs have always recorded them.
+const (
+	classBestEffort class = iota
+	classNormal
+	classCritical
+)
+
+func parseClass(s string) (class, bool) {
 	switch s {
 	case "", "normal":
-		return timer.PriorityNormal, true
+		return classNormal, true
 	case "critical":
-		return timer.PriorityCritical, true
+		return classCritical, true
 	case "best-effort":
-		return timer.PriorityBestEffort, true
+		return classBestEffort, true
 	}
 	return 0, false
+}
+
+// String returns the class label parseClass accepts.
+func (c class) String() string {
+	switch c {
+	case classBestEffort:
+		return "best-effort"
+	case classNormal:
+		return "normal"
+	case classCritical:
+		return "critical"
+	}
+	return fmt.Sprintf("priority(%d)", uint8(c))
 }
 
 func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
@@ -629,14 +659,14 @@ func (s *server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 func (s *server) admit(items []scheduleItem, sp *stagetrace.Span) ([]scheduledAck, int, string, error) {
 	now := s.clk.Now()
 	trace := sp.Trace()
-	prios := make([]timer.Priority, len(items))
+	classes := make([]class, len(items))
 	deadlines := make([]int64, len(items))
 	for i, it := range items {
 		p, ok := parseClass(it.Class)
 		if !ok {
 			return nil, http.StatusBadRequest, "bad_request", fmt.Errorf("item %d: unknown class %q", i, it.Class)
 		}
-		prios[i] = p
+		classes[i] = p
 		switch {
 		case it.DeadlineNS > 0:
 			deadlines[i] = it.DeadlineNS
@@ -670,7 +700,7 @@ func (s *server) admit(items []scheduleItem, sp *stagetrace.Span) ([]scheduledAc
 			payload = []byte(it.Payload)
 		}
 		rec := wal.Record{
-			Op: wal.OpSchedule, Class: uint8(prios[i]), ID: ids[i],
+			Op: wal.OpSchedule, Class: uint8(classes[i]), ID: ids[i],
 			Lease: it.Lease, Deadline: deadlines[i], Payload: payload,
 		}
 		var err error
@@ -698,7 +728,7 @@ func (s *server) admit(items []scheduleItem, sp *stagetrace.Span) ([]scheduledAc
 	armNS := s.clk.Now().UnixNano()
 	reqs := make([]timer.Req, len(items))
 	for i := range items {
-		reqs[i] = armReq(ids[i], prios[i], deadlines[i], armNS)
+		reqs[i] = armReq(ids[i], deadlines[i], armNS)
 	}
 	timers, err := s.fac.ScheduleBatch(reqs)
 	sp.Mark("arm")
@@ -752,12 +782,12 @@ func (s *server) admit(items []scheduleItem, sp *stagetrace.Span) ([]scheduledAc
 // poll. nowNS must be read just before the arm: the runtime counts the
 // delay from the arm, so an older reading fires the timer late by its
 // age. The timer is journal-only: its fire is the Journal's TimersFired.
-func armReq(id uint64, prio timer.Priority, deadlineNS, nowNS int64) timer.Req {
+func armReq(id uint64, deadlineNS, nowNS int64) timer.Req {
 	d := time.Duration(deadlineNS - nowNS)
 	if d < 1 {
 		d = 1
 	}
-	return timer.Req{After: d, Opt: timer.WithPriority(prio).WithTag(id)}
+	return timer.Req{After: d, Opt: timer.WithTag(id)}
 }
 
 // abortAdmission voids WAL-admitted ids after a downstream failure:
@@ -1155,7 +1185,7 @@ func (s *server) handleTimers(w http.ResponseWriter, r *http.Request) {
 	for id, ts := range s.state.Timers {
 		out = append(out, timerView{
 			ID: id, DeadlineNS: ts.Deadline,
-			Class: timer.Priority(ts.Class).String(), Lease: ts.Lease,
+			Class: class(ts.Class).String(), Lease: ts.Lease,
 		})
 	}
 	s.mu.Unlock()
@@ -1173,7 +1203,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"scheduled_total": s.state.Scheduled,
 		"fired_total":     s.state.Fired,
 		"cancelled_total": s.state.Cancelled,
-		"shed_total":      s.shed,
 	}
 	s.mu.Unlock()
 	ls := s.leases.Stats()

@@ -144,7 +144,7 @@ func TestScheduleFiresWithPayload(t *testing.T) {
 	}
 	fr := f.waitFired(3*time.Second, func(fr firedResp) bool { return len(fr.Events) >= 1 })
 	ev := fr.Events[0]
-	if ev.ID != ack.ID || ev.Payload != "hello" {
+	if ev.ID != ack.ID || string(ev.Payload) != "hello" {
 		t.Fatalf("fired event %+v, want id=%d payload=hello", ev, ack.ID)
 	}
 	if ev.LagNS < 0 {
@@ -380,7 +380,7 @@ func TestGracefulRestartReplaysOutstanding(t *testing.T) {
 	}
 	fr := f2.waitFired(3*time.Second, func(fr firedResp) bool { return len(fr.Events) >= 1 })
 	ev := fr.Events[0]
-	if ev.ID != short.ID || ev.Payload != "short" {
+	if ev.ID != short.ID || string(ev.Payload) != "short" {
 		t.Fatalf("boot fire %+v, want the past-deadline timer %d", ev, short.ID)
 	}
 	// The timer's deadline passed ~100ms+ before the new daemon booted
@@ -1028,7 +1028,7 @@ type firedResponse struct {
 // map[string]any encoding produced, headers and status included.
 func TestResponseBodiesByteIdentical(t *testing.T) {
 	events := []firedEvent{
-		{Seq: 7, ID: 42, FiredNS: 1_700_000_000_000_000_000, LagNS: 1234, Payload: "p", tlSeq: 9},
+		{Seq: 7, ID: 42, FiredNS: 1_700_000_000_000_000_000, LagNS: 1234, Payload: payload("p"), tlSeq: 9},
 		{Seq: 8, ID: 43, FiredNS: 1_700_000_000_000_000_001},
 	}
 	acks := []scheduledAck{{ID: 1, DeadlineNS: 5}, {ID: 2, DeadlineNS: 6}}
@@ -1068,13 +1068,13 @@ func TestResponseBodiesByteIdentical(t *testing.T) {
 	pages := map[string][]firedEvent{"nil": nil, "empty": {}, "one": {{Seq: 1, ID: 2, FiredNS: 3, LagNS: 4}}}
 	var mixed []firedEvent
 	for i, p := range payloads {
-		mixed = append(mixed, firedEvent{Seq: uint64(i), ID: uint64(100 + i), FiredNS: 1_700_000_000_000_000_000, LagNS: int64(i), Payload: p, tlSeq: 5})
+		mixed = append(mixed, firedEvent{Seq: uint64(i), ID: uint64(100 + i), FiredNS: 1_700_000_000_000_000_000, LagNS: int64(i), Payload: payload(p), tlSeq: 5})
 	}
 	pages["payloads"] = mixed
 	pages["extremes"] = []firedEvent{
 		{Seq: math.MaxUint64, ID: math.MaxUint64, FiredNS: math.MaxInt64, LagNS: math.MinInt64},
 		{Seq: 0, ID: 0, FiredNS: math.MinInt64, LagNS: -1},
-		{Seq: 1 << 63, ID: 10, FiredNS: -1_700_000_000, LagNS: math.MaxInt64, Payload: "x"},
+		{Seq: 1 << 63, ID: 10, FiredNS: -1_700_000_000, LagNS: math.MaxInt64, Payload: payload("x")},
 	}
 	for name, events := range pages {
 		for _, next := range []uint64{0, 9, math.MaxUint64} {

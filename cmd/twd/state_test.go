@@ -40,20 +40,26 @@ func (f *fixture) postStatus(path string, body, out any) int {
 }
 
 // replayCopy copies the WAL directory while holding s.mu — every append
-// and every compaction runs under it, so the copy is exactly the log
-// behind the State at that instant — and recovers the copy with
-// wal.Open. It returns the recovered State and a copy of the live one.
+// and every compaction runs under it — after writing out the frames the
+// log still buffers in memory (fire records nobody commits sit there
+// until the next sync), so the copy is exactly the log behind the State
+// at that instant. It recovers the copy with wal.Open and returns the
+// recovered State and a copy of the live one.
 func replayCopy(t *testing.T, s *server, dir string) (replayed, live *wal.State) {
 	t.Helper()
 	dst := t.TempDir()
 	s.mu.Lock()
+	if err := s.log.Sync(); err != nil {
+		s.mu.Unlock()
+		t.Fatalf("sync wal: %v", err)
+	}
 	live = &wal.State{
 		Timers:    make(map[uint64]wal.TimerState, len(s.state.Timers)),
 		Payloads:  make(map[uint64][]byte, len(s.state.Payloads)),
 		Leases:    make(map[uint64]wal.LeaseState, len(s.state.Leases)),
 		Scheduled: s.state.Scheduled, Fired: s.state.Fired, Cancelled: s.state.Cancelled,
 		LeasesGranted: s.state.LeasesGranted, LeasesExpired: s.state.LeasesExpired,
-		NextID: s.state.NextID,
+		NextID: s.state.NextID, NextLeaseID: s.state.NextLeaseID,
 	}
 	for id, ts := range s.state.Timers {
 		live.Timers[id] = ts
@@ -125,6 +131,9 @@ func diffStates(replayed, live *wal.State) string {
 	}
 	if replayed.NextID != live.NextID {
 		b.WriteString("NextID differs; ")
+	}
+	if replayed.NextLeaseID != live.NextLeaseID {
+		b.WriteString("NextLeaseID differs; ")
 	}
 	return b.String()
 }
@@ -326,7 +335,7 @@ func BenchmarkBoot(b *testing.B) {
 	for id := uint64(1); id <= n; id++ {
 		// One to two hours out, so nothing fires while the benchmark runs.
 		deadline := base.Add(time.Hour + time.Duration(rng.Int63n(int64(time.Hour))))
-		st.Apply(wal.Record{Op: wal.OpSchedule, Class: uint8(timer.PriorityNormal), ID: id, Deadline: deadline.UnixNano()})
+		st.Apply(wal.Record{Op: wal.OpSchedule, Class: uint8(classNormal), ID: id, Deadline: deadline.UnixNano()})
 	}
 	if err := l.Snapshot(st.Seed(0)); err != nil {
 		b.Fatal(err)
@@ -357,4 +366,25 @@ func BenchmarkBoot(b *testing.B) {
 	}
 	b.ReportMetric(perTimer, "B/timer")
 	b.ReportMetric(objsPerTimer, "objects/timer")
+}
+
+// TestClassBytes pins the class byte the WAL records: each label maps
+// to the byte logs have always held for it and back, and the ordinary
+// class is the byte other log writers know as timer.PriorityNormal.
+func TestClassBytes(t *testing.T) {
+	for label, want := range map[string]class{"best-effort": 0, "normal": 1, "critical": 2} {
+		c, ok := parseClass(label)
+		if !ok || c != want || c.String() != label {
+			t.Errorf("parseClass(%q) = %d (%v), String %q; want %d", label, c, ok, c.String(), want)
+		}
+	}
+	if c, ok := parseClass(""); !ok || c != classNormal {
+		t.Errorf("parseClass(\"\") = %d, %v; want normal", c, ok)
+	}
+	if _, ok := parseClass("urgent"); ok {
+		t.Error("parseClass accepted an unknown label")
+	}
+	if classNormal != timer.PriorityNormal {
+		t.Errorf("classNormal = %d, timer.PriorityNormal = %d", classNormal, timer.PriorityNormal)
+	}
 }

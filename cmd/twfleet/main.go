@@ -4,8 +4,8 @@
 // traffic in seconds of wall time via timer.VirtualDriver.
 //
 // The run is an assertion, not a demo: twfleet exits non-zero unless
-// the conservation ledger (started == delivered + shed + stopped +
-// outstanding + abandoned) closes exactly and the p99.9 firing lag from
+// the conservation ledger (started == delivered + stopped + outstanding
+// + abandoned) closes exactly and the p99.9 firing lag from
 // the HDR histograms stays within the SLO.
 //
 // Usage:

@@ -14,7 +14,7 @@ import (
 // the VirtualDriver compresses the whole run into however long the
 // callbacks take. The resulting trace is directly Diff-able against the
 // raw in-process schemes, which is the point — the production runtime
-// (ingress staging, guard, catch-up, delivery) must fire the same
+// (guard, catch-up, delivery) must fire the same
 // timers at the same ticks as the bare data structures.
 //
 // Expiry actions run inline on this goroutine during vd.Run, so the

@@ -76,10 +76,7 @@ func fatalf(format string, args ...any) {
 // demoSnapshot drives a small runtime through a burst of timers so the
 // demo render shows every section populated.
 func demoSnapshot() timer.Snapshot {
-	rt := timer.NewRuntime(
-		timer.WithGranularity(time.Millisecond),
-		timer.WithAsyncDispatch(2, 256),
-	)
+	rt := timer.NewRuntime(timer.WithGranularity(time.Millisecond))
 	defer rt.Close()
 	done := make(chan struct{}, 256)
 	rng := rand.New(rand.NewSource(1))
@@ -270,24 +267,22 @@ func render(w io.Writer, m *metrics) {
 	g := func(name string) float64 { return m.scalar("timingwheels_" + name) }
 	fmt.Fprintf(w, "timingwheels  shards=%.0f  granularity=%s  now=%.0f ticks  outstanding=%.0f\n",
 		g("shards"), time.Duration(g("granularity_seconds")*1e9), g("now_ticks"), g("outstanding_timers"))
-	fmt.Fprintf(w, "  timers    started=%.0f expired=%.0f stopped=%.0f delivered=%.0f shed=%.0f retried=%.0f abandoned=%.0f\n",
+	fmt.Fprintf(w, "  timers    started=%.0f expired=%.0f stopped=%.0f delivered=%.0f abandoned=%.0f\n",
 		g("started_total"), g("expired_total"), g("stopped_total"),
-		g("delivered_total"), g("shed_total"), g("retried_total"), g("abandoned_on_close_total"))
+		g("delivered_total"), g("abandoned_on_close_total"))
 	fmt.Fprintf(w, "  health    panics=%.0f slow=%.0f anomalies=%.0f behind=%.0f ticks\n",
 		g("panics_recovered_total"), g("slow_callbacks_total"),
 		g("clock_anomalies_total"), g("ticks_behind"))
 	fmt.Fprintf(w, "  wheel     slots=%.0f occupied=%.0f max-depth=%.0f migrations=%.0f\n",
 		g("wheel_slots"), g("wheel_occupied_slots"), g("wheel_max_slot_depth"), g("wheel_migrations_total"))
 	for _, key := range m.order {
-		if strings.HasPrefix(key, "timingwheels_wheel_level_timers{") ||
-			strings.HasPrefix(key, "timingwheels_class_") {
+		if strings.HasPrefix(key, "timingwheels_wheel_level_timers{") {
 			fmt.Fprintf(w, "  %s %.0f\n", strings.TrimPrefix(key, "timingwheels_"), m.scalars[key])
 		}
 	}
 	for _, name := range []string{
 		"timingwheels_firing_lag_seconds",
 		"timingwheels_callback_duration_seconds",
-		"timingwheels_dispatch_queue_wait_seconds",
 		"timingwheels_tick_batch_size",
 	} {
 		h := m.hists[name]

@@ -11,16 +11,13 @@
 // # The Reset contract
 //
 // Re-arming a live timer (the retransmission idiom: every ACK pushes
-// the timeout out) is a first-class verb with one behavior and two
-// report precisions. At the facility layer, the production schemes
-// (Schemes 5, 6, 7, the hybrid, and the grouped sorting queue) implement
-// core.Resetter and re-arm the same entry in place — unlink, re-place,
-// relink; a reset of a fired or stopped timer is refused with no side
-// effects. At the runtime layer,
-// Timer.Reset re-arms unconditionally: a synchronous Runtime reports
-// wasPending exactly, while a WithIngress Runtime's report is advisory
-// (true whenever no Stop was committed, even if the action already
-// ran) and only a committed Stop refuses a Reset (ErrStopPending).
+// the timeout out) is a first-class verb with one behavior. At the
+// facility layer, the production schemes (Schemes 5, 6, 7, the hybrid,
+// and the grouped sorting queue) implement core.Resetter and re-arm the
+// same entry in place — unlink, re-place, relink; a reset of a fired or
+// stopped timer is refused with no side effects. At the runtime layer,
+// Timer.Reset re-arms unconditionally and reports wasPending exactly;
+// ResetBatch does the same for a batch under one lock acquisition.
 // DESIGN.md section 16 states the contract and the gsq invariants in
 // full; internal/schemetest pins both with conformance and
 // differential model-checker suites.

@@ -1,10 +1,8 @@
 // Command resilient demonstrates the hardened Runtime: panic isolation,
-// the slow-callback watchdog, overload shedding through bounded async
-// dispatch, priority classes that decide who is shed first (and who
-// never is), a retry-with-backoff loop built on AfterFunc, and a
-// graceful drain that fires in-window timers before shutdown — the
-// failure modes a production timer facility absorbs without stalling
-// its tick path.
+// the slow-callback watchdog, a retry-with-backoff loop built on
+// AfterFunc, and a graceful drain that fires in-window timers before
+// shutdown — the failure modes a production timer facility absorbs
+// without stalling its tick path.
 //
 //	go run ./examples/resilient
 package main
@@ -12,7 +10,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"timingwheels/timer"
@@ -31,9 +28,6 @@ func main() {
 			fmt.Printf("slow callback flagged (ran %v, budget 5ms)\n",
 				elapsed.Round(time.Millisecond))
 		}),
-		// Two workers behind a 4-deep queue: a burst beyond worker+queue
-		// capacity is shed, never buffered without bound.
-		timer.WithAsyncDispatch(2, 4),
 	)
 	defer rt.Close()
 
@@ -47,7 +41,7 @@ func main() {
 	fmt.Println("job after the panic still ran")
 
 	// 2. Slow-callback watchdog: a job that blocks past its budget is
-	// recorded (and, on the async pool, does not delay the tick path).
+	// recorded.
 	fmt.Println("-- slow-callback watchdog --")
 	slow := make(chan struct{})
 	must(rt.AfterFunc(2*time.Millisecond, func() {
@@ -57,48 +51,7 @@ func main() {
 	<-slow
 	waitFor(func() bool { return rt.Health().SlowCallbacks > 0 })
 
-	// 3. Overload shedding: 32 jobs expire in the same instant against 2
-	// workers that each hold their job for a while; the queue (4) soaks
-	// a few and the rest are shed — visible in Health, invisible to the
-	// driver's latency.
-	fmt.Println("-- overload shedding --")
-	var ran atomic.Int64
-	for i := 0; i < 32; i++ {
-		must(rt.AfterFunc(5*time.Millisecond, func() {
-			time.Sleep(30 * time.Millisecond)
-			ran.Add(1)
-		}))
-	}
-	waitFor(func() bool {
-		h := rt.Health()
-		return h.ShedExpiries > 0 && ran.Load() >= 6 // 2 workers + 4 queued
-	})
-	h := rt.Health()
-	fmt.Printf("burst of 32: %d ran, %d shed (capacity: 2 workers + 4 queued)\n",
-		ran.Load(), h.ShedExpiries)
-
-	// 4. Priority classes: the same overload, but now the work declares
-	// what it is worth. Critical expiries are never shed — if the pool
-	// cannot take one even by evicting weaker work, it runs inline on
-	// the driver — while best-effort work is evicted first, most-overdue
-	// first.
-	fmt.Println("-- priority classes --")
-	var critRan, beRan atomic.Int64
-	for i := 0; i < 8; i++ {
-		must(rt.AfterFunc(5*time.Millisecond, func() { critRan.Add(1) },
-			timer.WithPriority(timer.PriorityCritical)))
-		must(rt.AfterFunc(5*time.Millisecond, func() {
-			time.Sleep(20 * time.Millisecond)
-			beRan.Add(1)
-		}, timer.WithPriority(timer.PriorityBestEffort)))
-	}
-	waitFor(func() bool { return critRan.Load() == 8 })
-	h = rt.Health()
-	fmt.Printf("critical: 8/8 ran, %d shed; best-effort: %d shed so far\n",
-		h.ByClass[timer.PriorityCritical].Shed,
-		h.ByClass[timer.PriorityBestEffort].Shed)
-
-	// 5. Retry with backoff: each failed attempt reschedules itself with
+	// 3. Retry with backoff: each failed attempt reschedules itself with
 	// a doubled delay — the retransmission-timer idiom composed with the
 	// hardening above (a panicking attempt would be contained too).
 	fmt.Println("-- retry with backoff --")
@@ -119,7 +72,7 @@ func main() {
 	must(rt.AfterFunc(2*time.Millisecond, attempt))
 	<-succeeded
 
-	// 6. Graceful drain: stop admitting, give outstanding timers a grace
+	// 4. Graceful drain: stop admitting, give outstanding timers a grace
 	// window to fire at their natural deadlines, cancel the rest, and get
 	// an exact account. (Close is simply Drain with zero grace.)
 	fmt.Println("-- graceful drain --")

@@ -10,8 +10,8 @@
 // of a transport protocol (acks cancel them before expiry, stragglers
 // fire); rate-limiter refill tickers are the periodic "timers almost
 // always expire" case. At exit the simulator closes the conservation
-// ledger — started == delivered + shed + stopped + outstanding +
-// abandoned, exactly — and reports firing-lag quantiles from the
+// ledger — started == delivered + stopped + outstanding + abandoned,
+// exactly — and reports firing-lag quantiles from the
 // runtimes' HDR histograms, which is what makes the run an assertion
 // and not a demo.
 package fleet
@@ -107,12 +107,12 @@ type Report struct {
 	WallDuration    time.Duration
 
 	// Ledger terms, summed across shards. LedgerOK reports whether
-	// Started == Delivered + Shed + Stopped + Outstanding + Abandoned
+	// Started == Delivered + Stopped + Outstanding + Abandoned
 	// held exactly.
-	Started, Delivered, Shed uint64
-	Stopped, Outstanding     uint64
-	Abandoned                uint64
-	LedgerOK                 bool
+	Started, Delivered   uint64
+	Stopped, Outstanding uint64
+	Abandoned            uint64
+	LedgerOK             bool
 
 	// Workload counters.
 	Activities      uint64 // activity bursts applied
@@ -130,8 +130,8 @@ type Report struct {
 
 // Ledger formats the conservation identity with its terms.
 func (r *Report) Ledger() string {
-	return fmt.Sprintf("started=%d = delivered=%d + shed=%d + stopped=%d + outstanding=%d + abandoned=%d",
-		r.Started, r.Delivered, r.Shed, r.Stopped, r.Outstanding, r.Abandoned)
+	return fmt.Sprintf("started=%d = delivered=%d + stopped=%d + outstanding=%d + abandoned=%d",
+		r.Started, r.Delivered, r.Stopped, r.Outstanding, r.Abandoned)
 }
 
 // conn is one simulated connection on a shard. Timer handles follow the
@@ -207,7 +207,6 @@ func Run(cfg Config) (*Report, error) {
 		rep.Scheme = snap.Scheme
 		rep.Started += snap.Started
 		rep.Delivered += snap.Health.Delivered
-		rep.Shed += snap.Health.ShedExpiries
 		rep.Stopped += snap.Stopped
 		rep.Outstanding += uint64(snap.Outstanding)
 		rep.Abandoned += snap.Health.AbandonedOnClose
@@ -222,7 +221,7 @@ func Run(cfg Config) (*Report, error) {
 		rep.Acks += s.acks
 		rep.RefillTicks += s.refillTicks
 	}
-	rep.LedgerOK = rep.Started == rep.Delivered+rep.Shed+rep.Stopped+rep.Outstanding+rep.Abandoned
+	rep.LedgerOK = rep.Started == rep.Delivered+rep.Stopped+rep.Outstanding+rep.Abandoned
 	rep.LagP50NS = lag.P50()
 	rep.LagP99NS = lag.P99()
 	rep.LagP999NS = lag.P999()

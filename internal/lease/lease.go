@@ -160,6 +160,16 @@ func (tb *Table) Restore(id uint64, expiry time.Time, timers []uint64) error {
 	return tb.watch(id, l, remain)
 }
 
+// ReserveIDs makes every future grant issue an ID above hw: the
+// daemon's durable lease-ID high-water, which covers leases that were
+// released or expired and so are not restored. Restore alone only
+// advances past the live leases.
+func (tb *Table) ReserveIDs(hw uint64) {
+	tb.mu.Lock()
+	tb.nextID = max(tb.nextID, hw)
+	tb.mu.Unlock()
+}
+
 // watch arms (or re-arms) the lease's watchdog. Called without tb.mu.
 func (tb *Table) watch(id uint64, l *lease, d time.Duration) error {
 	if d < 0 {

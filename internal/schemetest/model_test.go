@@ -94,9 +94,8 @@ func (c *modelClock) advance(d time.Duration) {
 }
 
 // runtimeSubject adapts a *timer.Runtime (manual driver, fake clock,
-// one tick per model tick) to the model checker, in four flavors:
-// per-op synchronous, batched synchronous, per-op ingress, and batched
-// ingress. Batch flavors buffer consecutive schedules (and consecutive
+// one tick per model tick) to the model checker, in two flavors: per-op
+// and batched. The batch flavor buffers consecutive schedules (and consecutive
 // stops) and flush them as one ScheduleBatch/StopBatch at the next
 // non-matching operation — the clock only moves inside Tick, after the
 // flush, so buffering is timing-identical to eager admission.
@@ -117,9 +116,8 @@ type runtimeSubject struct {
 }
 
 // newRuntimeSubject returns a factory for one runtime flavor. exact is
-// false for batch flavors (per-op results are aggregated away) and for
-// ingress flavors (Stop is advisory by contract); fired sets and
-// pending counts are compared exactly for all of them.
+// false for batch flavors (per-op results are aggregated away); fired
+// sets and pending counts are compared exactly for all of them.
 func newRuntimeSubject(name string, batch, exact bool, opts ...timer.RuntimeOption) func() Subject {
 	return func() Subject {
 		clk := &modelClock{now: time.Unix(1_000_000, 0)}
@@ -189,7 +187,7 @@ func (s *runtimeSubject) Stop(key int) bool {
 	delete(s.timers, key)
 	if s.batch {
 		s.pendStop = append(s.pendStop, tm)
-		return true // aggregate result lands at flush; advisory
+		return true // the aggregate result lands at flush
 	}
 	return tm.Stop()
 }
@@ -219,9 +217,8 @@ func (s *runtimeSubject) Len() int {
 func (s *runtimeSubject) Close() { s.rt.Close() }
 
 // modelSubjects is every implementation the differential checker runs:
-// all raw schemes plus the Runtime's four admission flavors (a tiny
-// ingress ring is included separately so the ring-full locked fallback
-// is exercised, not just the happy staging path).
+// all raw schemes plus the Runtime's per-op and batch admission, over
+// the default wheel, the grouped sorting queue and the closure adapter.
 func modelSubjects() map[string]func() Subject {
 	subs := make(map[string]func() Subject)
 	for name, factory := range factories() {
@@ -229,24 +226,14 @@ func modelSubjects() map[string]func() Subject {
 	}
 	subs["runtime-sync"] = newRuntimeSubject("runtime-sync", false, true)
 	subs["runtime-sync-batch"] = newRuntimeSubject("runtime-sync-batch", true, false)
-	subs["runtime-ingress"] = newRuntimeSubject("runtime-ingress", false, false,
-		timer.WithIngress(0))
-	subs["runtime-ingress-batch"] = newRuntimeSubject("runtime-ingress-batch", true, false,
-		timer.WithIngress(0))
-	subs["runtime-ingress-tiny"] = newRuntimeSubject("runtime-ingress-tiny", false, false,
-		timer.WithIngress(2))
-	subs["runtime-ingress-tiny-batch"] = newRuntimeSubject("runtime-ingress-tiny-batch", true, false,
-		timer.WithIngress(2))
 	// The runtime over the grouped sorting queue resets in place under a
-	// second placement rule, in both admission modes; over an ordered
-	// list it goes through the closure adapter Schemes 1-4 and the trees
-	// use.
+	// second placement rule, per op and batched; over an ordered list it
+	// goes through the closure adapter Schemes 1-4 and the trees use.
 	subs["runtime-sync-closure"] = newRuntimeSubject("runtime-sync-closure", false, true,
 		timer.WithSchemeFactory(func() timer.Scheme { return timer.NewOrderedList(timer.SearchFromFront) }))
 	subs["runtime-sync-gsq"] = newRuntimeSubject("runtime-sync-gsq", false, true,
 		timer.WithSchemeFactory(func() timer.Scheme { return timer.NewGroupedQueue(32, 8) }))
-	subs["runtime-ingress-gsq"] = newRuntimeSubject("runtime-ingress-gsq", false, false,
-		timer.WithIngress(0),
+	subs["runtime-batch-gsq"] = newRuntimeSubject("runtime-batch-gsq", true, false,
 		timer.WithSchemeFactory(func() timer.Scheme { return timer.NewGroupedQueue(32, 8) }))
 	return subs
 }
@@ -283,7 +270,7 @@ func TestModelResetStorm(t *testing.T) {
 	subs := modelSubjects()
 	for _, name := range []string{
 		"gsq", "gsq-w1", "gsq-band1", "scheme6", "scheme7", "hybrid",
-		"runtime-sync-gsq", "runtime-ingress-gsq", "runtime-ingress-batch",
+		"runtime-sync-gsq", "runtime-batch-gsq", "runtime-sync-batch",
 	} {
 		name, mk := name, subs[name]
 		t.Run(name, func(t *testing.T) {
@@ -339,7 +326,7 @@ func TestModelShrinkKeepsConformant(t *testing.T) {
 // FuzzModelMixedOps feeds fuzzer-chosen op sequences — arbitrary
 // interleavings of schedule, stop, reset, and tick, including the
 // single/batched mix the batch subjects create — through the
-// recommended scheme, the hierarchy, and the batched-ingress runtime.
+// recommended scheme, the hierarchy, and the batched runtime.
 // FuzzModelResetStorm is the reset-storm smoke: the fuzzer picks the
 // script seed, length, and the grouped-sorting-queue shape (band count
 // and width, including degenerate single-band and width-1 queues), and
@@ -386,7 +373,7 @@ func FuzzModelMixedOps(f *testing.F) {
 		for _, mk := range []func() Subject{
 			newFacilitySubject(factories()["scheme6"]),
 			newFacilitySubject(factories()["scheme7"]),
-			newRuntimeSubject("runtime-ingress-batch", true, false, timer.WithIngress(64)),
+			newRuntimeSubject("runtime-sync-batch", true, false),
 		} {
 			if d := CheckScript(mk, script); d != nil {
 				t.Fatal(d)

@@ -441,3 +441,45 @@ func TestStateTracksIDHighWater(t *testing.T) {
 		t.Fatalf("ledger drifted: timers=%d scheduled=%d", len(st.Timers), st.Scheduled)
 	}
 }
+
+// TestLeaseHighWaterSurvivesSeed: the lease-ID high-water follows every
+// lease record, and a compaction seed pins it, so a released lease's ID
+// stays reserved after the log is compacted. Pins written before the
+// high-water joined the ledger (three counts, or no payload at all)
+// still decode.
+func TestLeaseHighWaterSurvivesSeed(t *testing.T) {
+	st := NewState()
+	st.Apply(Record{Op: OpLeaseGrant, ID: 1, Deadline: 10})
+	st.Apply(Record{Op: OpLeaseGrant, ID: 2, Deadline: 10})
+	st.Apply(Record{Op: OpLeaseExpire, ID: 2})
+	if st.NextLeaseID != 2 {
+		t.Fatalf("NextLeaseID=%d after granting 1 and 2, want 2", st.NextLeaseID)
+	}
+	seeded := NewState()
+	for _, rec := range st.Seed(0) {
+		seeded.Apply(rec)
+	}
+	if seeded.NextLeaseID != 2 || len(seeded.Leases) != 1 || seeded.LeasesExpired != 1 {
+		t.Fatalf("seeded: NextLeaseID=%d leases=%d expired=%d, want 2/1/1",
+			seeded.NextLeaseID, len(seeded.Leases), seeded.LeasesExpired)
+	}
+
+	old := NewState()
+	old.Apply(Record{Op: OpHighWater, ID: 9, Payload: []byte{5, 3, 1}})
+	if old.Fired != 5 || old.Cancelled != 3 || old.LeasesExpired != 1 || old.NextLeaseID != 0 || old.NextID != 9 {
+		t.Fatalf("3-field pin: fired=%d cancelled=%d expired=%d leaseHW=%d next=%d, want 5/3/1/0/9",
+			old.Fired, old.Cancelled, old.LeasesExpired, old.NextLeaseID, old.NextID)
+	}
+	bare := NewState()
+	bare.Apply(Record{Op: OpHighWater, ID: 4})
+	if bare.NextID != 4 || bare.Fired != 0 || bare.NextLeaseID != 0 {
+		t.Fatalf("bare pin: next=%d fired=%d leaseHW=%d, want 4/0/0", bare.NextID, bare.Fired, bare.NextLeaseID)
+	}
+	for _, bad := range [][]byte{{5, 3}, {5, 3, 1, 2, 7}, {0x80}} {
+		s := NewState()
+		s.Apply(Record{Op: OpHighWater, ID: 1, Payload: bad})
+		if s.Fired != 0 || s.NextLeaseID != 0 {
+			t.Fatalf("malformed pin %v applied a ledger: fired=%d leaseHW=%d", bad, s.Fired, s.NextLeaseID)
+		}
+	}
+}

@@ -69,7 +69,9 @@ const (
 	// OpHighWater pins the timer-ID allocator's high-water mark: ID is
 	// the largest timer ID ever issued. Snapshots write one so that
 	// compaction — which discards settled history — cannot let a restart
-	// re-issue the ID of an already-acked fired or cancelled timer.
+	// re-issue the ID of an already-acked fired or cancelled timer. A
+	// snapshot's pin also carries the settled counts and the lease-ID
+	// high-water in its payload (see State.Seed).
 	OpHighWater
 
 	opMax = OpHighWater

@@ -51,6 +51,9 @@ type State struct {
 	// allocator from it (not from the outstanding set, which compaction
 	// shrinks) guarantees restarts never re-issue a settled timer's ID.
 	NextID uint64
+	// NextLeaseID is the lease-ID allocator's high-water mark, kept the
+	// same way: the largest lease ID seen in any lease record or pin.
+	NextLeaseID uint64
 	// Sealed reports that the final applied record was a clean-shutdown
 	// seal; any record applied after a seal clears it.
 	Sealed bool
@@ -79,6 +82,10 @@ func (s *State) Apply(rec Record) {
 		// record still names the ID.
 		if rec.ID > s.NextID {
 			s.NextID = rec.ID
+		}
+	case OpLeaseGrant, OpLeaseRenew, OpLeaseExpire:
+		if rec.ID > s.NextLeaseID {
+			s.NextLeaseID = rec.ID
 		}
 	}
 	switch rec.Op {
@@ -131,10 +138,11 @@ func (s *State) Apply(rec Record) {
 		// compacted log replays the lifetime ledger, not just the
 		// outstanding set. The admitted counts follow from the ledger
 		// identity over whatever is outstanding at the pin.
-		if fired, cancelled, expired, ok := decodeLedger(rec.Payload); ok {
-			s.Fired, s.Cancelled, s.LeasesExpired = fired, cancelled, expired
-			s.Scheduled = fired + cancelled + uint64(len(s.Timers))
-			s.LeasesGranted = expired + uint64(len(s.Leases))
+		if l, ok := decodeLedger(rec.Payload); ok {
+			s.Fired, s.Cancelled, s.LeasesExpired = l.fired, l.cancelled, l.expired
+			s.Scheduled = l.fired + l.cancelled + uint64(len(s.Timers))
+			s.LeasesGranted = l.expired + uint64(len(s.Leases))
+			s.NextLeaseID = max(s.NextLeaseID, l.leaseHW)
 		}
 	}
 }
@@ -146,12 +154,13 @@ func (s *State) Outstanding() int { return len(s.Timers) }
 // high-water pin, one OpSchedule per outstanding timer, and one
 // OpLeaseGrant per live lease — a compaction snapshot. The pin carries
 // max(nextID, s.NextID), so an allocator that issued IDs no record
-// names yet is covered too, and the settled counts, so replaying the
-// seed reproduces every counter (Sealed aside).
+// names yet is covered too, the settled counts, so replaying the seed
+// reproduces every counter (Sealed aside), and the lease-ID high-water,
+// so a released lease's ID is not issued again.
 func (s *State) Seed(nextID uint64) []Record {
 	recs := make([]Record, 0, 1+len(s.Timers)+len(s.Leases))
 	recs = append(recs, Record{Op: OpHighWater, ID: max(nextID, s.NextID),
-		Payload: encodeLedger(s.Fired, s.Cancelled, s.LeasesExpired)})
+		Payload: encodeLedger(ledger{s.Fired, s.Cancelled, s.LeasesExpired, s.NextLeaseID})})
 	for id, t := range s.Timers {
 		recs = append(recs, Record{Op: OpSchedule, Class: t.Class, ID: id,
 			Lease: t.Lease, Deadline: t.Deadline, Payload: s.Payloads[id]})
@@ -162,25 +171,36 @@ func (s *State) Seed(nextID uint64) []Record {
 	return recs
 }
 
-// encodeLedger and decodeLedger are the pin's payload: the Fired,
-// Cancelled and LeasesExpired counts as three uvarints. Pins without a
-// payload (older snapshots) leave the counters alone.
-func encodeLedger(fired, cancelled, expired uint64) []byte {
-	b := binary.AppendUvarint(nil, fired)
-	b = binary.AppendUvarint(b, cancelled)
-	return binary.AppendUvarint(b, expired)
+// ledger is the pin's payload: the Fired, Cancelled and LeasesExpired
+// counts and the lease-ID high-water.
+type ledger struct {
+	fired, cancelled, expired, leaseHW uint64
 }
 
-func decodeLedger(b []byte) (fired, cancelled, expired uint64, ok bool) {
-	var v [3]uint64
-	for i := range v {
+// encodeLedger and decodeLedger write and read the ledger as four
+// uvarints. Older pins carry only the first three (leaseHW reads as 0)
+// or no payload at all, which leaves the counters alone.
+func encodeLedger(l ledger) []byte {
+	b := binary.AppendUvarint(nil, l.fired)
+	b = binary.AppendUvarint(b, l.cancelled)
+	b = binary.AppendUvarint(b, l.expired)
+	return binary.AppendUvarint(b, l.leaseHW)
+}
+
+func decodeLedger(b []byte) (ledger, bool) {
+	var v [4]uint64
+	i := 0
+	for ; i < len(v) && len(b) > 0; i++ {
 		x, n := binary.Uvarint(b)
 		if n <= 0 {
-			return 0, 0, 0, false
+			return ledger{}, false
 		}
 		v[i], b = x, b[n:]
 	}
-	return v[0], v[1], v[2], len(b) == 0
+	if i < 3 || len(b) != 0 {
+		return ledger{}, false
+	}
+	return ledger{v[0], v[1], v[2], v[3]}, true
 }
 
 // ResetTo discards the state and rebuilds it from seed — what a

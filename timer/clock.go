@@ -16,8 +16,8 @@ import (
 // the runtime consumes a Clock (WithClockSource) and provides one.
 //
 // Deliveries follow the runtime's rules, not the time package's: expiry
-// actions run on the driver goroutine (or the WithAsyncDispatch pool)
-// and timers on a closed or draining runtime never fire — After
+// actions run on the driver goroutine, and timers on a closed or
+// draining runtime never fire — After
 // channels from a closed runtime block forever and Sleep returns
 // immediately rather than stranding the caller.
 func (rt *Runtime) Clock() clock.Clock { return facilityClock{rt} }

@@ -3,7 +3,6 @@ package timer
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -56,7 +55,7 @@ func TestPostCloseEveryPathReturnsErrRuntimeClosed(t *testing.T) {
 }
 
 func TestCloseConcurrent(t *testing.T) {
-	for _, mode := range []string{"ticking", "tickless", "manual", "async"} {
+	for _, mode := range []string{"ticking", "tickless", "manual"} {
 		t.Run(mode, func(t *testing.T) {
 			var opts []RuntimeOption
 			switch mode {
@@ -66,8 +65,6 @@ func TestCloseConcurrent(t *testing.T) {
 				opts = []RuntimeOption{WithGranularity(time.Millisecond), WithScheme(NewTree(TreeHeap)), WithTickless()}
 			case "manual":
 				opts = []RuntimeOption{WithManualDriver()}
-			case "async":
-				opts = []RuntimeOption{WithGranularity(time.Millisecond), WithAsyncDispatch(2, 8)}
 			}
 			rt := NewRuntime(opts...)
 			if _, err := rt.AfterFunc(time.Hour, func() {}); err != nil {
@@ -88,38 +85,6 @@ func TestCloseConcurrent(t *testing.T) {
 				t.Fatalf("post-close AfterFunc: %v", err)
 			}
 		})
-	}
-}
-
-func TestCloseDrainsAsyncQueue(t *testing.T) {
-	// Expiries already handed to the pool are commitments: Close must run
-	// them before returning, even with the worker backed up.
-	rt, fc := newChaosRuntime(t, WithAsyncDispatch(1, 8))
-	gate := make(chan struct{})
-	running := make(chan struct{})
-	var ran atomic.Int64
-	if _, err := rt.AfterFunc(10*time.Millisecond, func() { close(running); <-gate; ran.Add(1) }); err != nil {
-		t.Fatal(err)
-	}
-	fc.Advance(10 * time.Millisecond)
-	rt.Poll()
-	<-running
-	for i := 0; i < 4; i++ {
-		if _, err := rt.AfterFunc(10*time.Millisecond, func() { ran.Add(1) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fc.Advance(10 * time.Millisecond)
-	rt.Poll() // 4 actions queued behind the blocked worker
-	go func() {
-		time.Sleep(20 * time.Millisecond) // let Close start waiting
-		close(gate)
-	}()
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != 5 {
-		t.Fatalf("Close returned with %d/5 queued actions run", ran.Load())
 	}
 }
 

@@ -51,19 +51,14 @@ func (p DrainPolicy) String() string {
 }
 
 // DrainReport accounts for every timer that was outstanding when Drain
-// began: each one either fired (Fired), was shed by the overload policy
-// while firing (Shed), was cancelled by the policy or the ctx cut-off
-// (Cancelled), or was stopped concurrently by its owner.
+// began: each one either fired (Fired), was cancelled by the policy or
+// the ctx cut-off (Cancelled), or was stopped concurrently by its owner.
 type DrainReport struct {
 	// Policy is the policy the drain ran under.
 	Policy DrainPolicy
 	// Fired counts expiry actions that ran (or After sends delivered)
-	// during the drain, including async-dispatched actions, which are
-	// run to completion before Drain returns.
+	// during the drain.
 	Fired uint64
-	// Shed counts expiry actions dropped by the overload policy during
-	// the drain.
-	Shed uint64
 	// Cancelled counts timers cancelled without firing when the drain
 	// finished. They are also counted in Health().AbandonedOnClose.
 	Cancelled uint64
@@ -71,8 +66,8 @@ type DrainReport struct {
 
 // String summarizes the report.
 func (r DrainReport) String() string {
-	return fmt.Sprintf("drain(%s): fired=%d shed=%d cancelled=%d",
-		r.Policy, r.Fired, r.Shed, r.Cancelled)
+	return fmt.Sprintf("drain(%s): fired=%d cancelled=%d",
+		r.Policy, r.Fired, r.Cancelled)
 }
 
 // fireNowChunk bounds one locked advance burst during DrainFireNow so
@@ -83,8 +78,7 @@ const fireNowChunk = 1 << 16
 // Drain shuts the runtime down gracefully: it immediately stops
 // admitting new timers (scheduling calls fail with ErrDraining, then
 // ErrRuntimeClosed once the drain completes), disposes of every
-// outstanding timer per the policy, runs every already-dispatched async
-// action to completion, and reports exactly what happened. After Drain
+// outstanding timer per the policy, and reports exactly what happened. After Drain
 // returns the runtime is closed; Close after Drain is a no-op.
 //
 // Only one Drain wins: concurrent Drain and Close calls block until the
@@ -117,23 +111,7 @@ func (rt *Runtime) Drain(ctx context.Context, policy DrainPolicy) (DrainReport, 
 	close(rt.stopCh)
 	<-rt.doneCh
 
-	// Baselines come BEFORE the ingress fence: applying a staged
-	// schedule can itself shed it (a bounded scheme refusing the arm, in
-	// shedStagedLocked), and a baseline taken after the fence would
-	// subtract that shed out of the report — a staged-but-undrained
-	// admission vanishing from the ledger instead of landing in
-	// Fired/Shed/Cancelled.
-	firedBefore := rt.deliveredTotal()
-	shedBefore := rt.shedTotal()
-
-	// Fence out ingress producers and apply every intent they managed to
-	// stage: staged schedules arm (and are then disposed of by the
-	// policy like any other outstanding timer), staged stops and resets
-	// apply, and the ring stays empty for good — producers that lost
-	// the gate race fall back to the locked path, which refuses with
-	// ErrDraining.
-	rt.finishIngressDrain()
-
+	firedBefore := rt.delivered.Load()
 	switch policy {
 	case DrainFireNow:
 		rt.drainFireNow(ctx)
@@ -148,13 +126,9 @@ func (rt *Runtime) Drain(ctx context.Context, policy DrainPolicy) (DrainReport, 
 	rt.abandoned.Add(cancelled)
 	rt.closed = true
 	rt.mu.Unlock()
-	if rt.pool != nil {
-		rt.pool.Close() // runs every already-queued async action
-	}
 	return DrainReport{
 		Policy:    policy,
-		Fired:     rt.deliveredTotal() - firedBefore,
-		Shed:      rt.shedTotal() - shedBefore,
+		Fired:     rt.delivered.Load() - firedBefore,
 		Cancelled: cancelled,
 	}, nil
 }
@@ -241,22 +215,4 @@ func (rt *Runtime) drainWait(ctx context.Context) {
 		case <-poll.C():
 		}
 	}
-}
-
-// deliveredTotal sums delivered expiries across priority classes.
-func (rt *Runtime) deliveredTotal() uint64 {
-	var n uint64
-	for i := range rt.deliveredC {
-		n += rt.deliveredC[i].Load()
-	}
-	return n
-}
-
-// shedTotal sums shed expiries across priority classes.
-func (rt *Runtime) shedTotal() uint64 {
-	var n uint64
-	for i := range rt.shedC {
-		n += rt.shedC[i].Load()
-	}
-	return n
 }

@@ -20,8 +20,8 @@ func TestDrainCancelAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Fired != 0 || rep.Shed != 0 || rep.Cancelled != 3 {
-		t.Fatalf("report=%s, want 0 fired, 0 shed, 3 cancelled", rep)
+	if rep.Fired != 0 || rep.Cancelled != 3 {
+		t.Fatalf("report=%s, want 0 fired, 3 cancelled", rep)
 	}
 	if h := rt.Health(); h.AbandonedOnClose != 3 {
 		t.Fatalf("AbandonedOnClose=%d, want 3", h.AbandonedOnClose)

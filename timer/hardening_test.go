@@ -2,8 +2,6 @@ package timer
 
 import (
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -140,66 +138,6 @@ func TestSlowCallbackWatchdog(t *testing.T) {
 	}
 	if len(slow) != 1 || slow[0] < 50*time.Millisecond {
 		t.Fatalf("slow handler observed %v", slow)
-	}
-}
-
-func TestAsyncDispatchDelivers(t *testing.T) {
-	rt, c := newChaosRuntime(t, WithAsyncDispatch(2, 16))
-	var n atomic.Int64
-	for i := 0; i < 10; i++ {
-		if _, err := rt.AfterFunc(10*time.Millisecond, func() { n.Add(1) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Advance(10 * time.Millisecond)
-	if fired := rt.Poll(); fired != 10 {
-		t.Fatalf("Poll reported %d expiries", fired)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && n.Load() < 10 {
-		time.Sleep(time.Millisecond)
-	}
-	if n.Load() != 10 {
-		t.Fatalf("async ran %d/10 actions", n.Load())
-	}
-	if h := rt.Health(); h.Dispatched != 10 || h.ShedExpiries != 0 {
-		t.Fatalf("health %s", h)
-	}
-}
-
-func TestOverloadShedding(t *testing.T) {
-	// One worker, queue of one. Occupy the worker, fill the queue, and
-	// confirm the surplus expiries are shed — counted, not buffered, not
-	// blocking the driver.
-	rt, c := newChaosRuntime(t, WithAsyncDispatch(1, 1))
-	gate := make(chan struct{})
-	running := make(chan struct{})
-	if _, err := rt.AfterFunc(10*time.Millisecond, func() { close(running); <-gate }); err != nil {
-		t.Fatal(err)
-	}
-	c.Advance(10 * time.Millisecond)
-	rt.Poll()
-	<-running // worker busy; queue empty
-
-	var ran atomic.Int64
-	for i := 0; i < 3; i++ {
-		if _, err := rt.AfterFunc(10*time.Millisecond, func() { ran.Add(1) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Advance(10 * time.Millisecond)
-	rt.Poll() // one queued, two shed
-	h := rt.Health()
-	if h.ShedExpiries != 2 || h.Dispatched != 2 {
-		t.Fatalf("shed=%d dispatched=%d, want 2/2", h.ShedExpiries, h.Dispatched)
-	}
-	close(gate)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && ran.Load() < 1 {
-		time.Sleep(time.Millisecond)
-	}
-	if ran.Load() != 1 {
-		t.Fatalf("queued action ran %d times, want exactly 1 (two were shed)", ran.Load())
 	}
 }
 
@@ -372,45 +310,6 @@ func TestShardedHealthAggregates(t *testing.T) {
 	}
 	if h.TicksBehind == 0 {
 		t.Fatal("aggregate TicksBehind should reflect the in-progress catch-up")
-	}
-}
-
-func TestAsyncDispatchLive(t *testing.T) {
-	// Concurrent scheduling with async expiry dispatch, under -race via
-	// make check: 4 producers, 4 workers, all callbacks must run.
-	rt := NewRuntime(
-		WithGranularity(time.Millisecond),
-		WithScheme(NewHashedWheel(256)),
-		WithAsyncDispatch(4, 256),
-	)
-	defer rt.Close()
-	const total = 200
-	var fired atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < total/4; i++ {
-				if _, err := rt.AfterFunc(time.Duration(1+i%10)*time.Millisecond, func() {
-					fired.Add(1)
-				}); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && fired.Load() < total {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if fired.Load() != total {
-		t.Fatalf("fired=%d, want %d", fired.Load(), total)
-	}
-	if h := rt.Health(); h.Dispatched != total || h.ShedExpiries != 0 {
-		t.Fatalf("health %s", h)
 	}
 }
 

@@ -1,6 +1,7 @@
 package timer
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -56,20 +57,32 @@ var entrySchemes = map[string]func() Scheme{
 }
 
 // TestOneObjectPerArmedTimer pins the memory layout: the Timer embeds
-// its scheme entry, so with an empty free list one AfterFunc allocates
-// exactly one object — the Timer — on every production scheme, and a
-// warm AfterFunc+Stop cycle allocates nothing.
+// its scheme entry, and Timers are carved slabSize at a time, so with an
+// empty free list slabSize AfterFuncs allocate exactly one object — the
+// slab — on every production scheme, and a warm AfterFunc+Stop cycle
+// allocates nothing.
 func TestOneObjectPerArmedTimer(t *testing.T) {
 	for name, mk := range entrySchemes {
 		t.Run(name, func(t *testing.T) {
 			rt, _ := newManualRuntime(t, WithScheme(mk()))
-			cold := testing.AllocsPerRun(200, func() {
+			arm := func() {
 				if _, err := rt.AfterFunc(time.Second, noopAction); err != nil {
 					t.Fatal(err)
 				}
+			}
+			// The first slab also grows the free list to a slab's length.
+			for i := 0; i < slabSize; i++ {
+				arm()
+			}
+			const slabs = 4
+			cold := minMallocs(func() {
+				for i := 0; i < slabs*slabSize; i++ {
+					arm()
+				}
 			})
-			if cold != 1 {
-				t.Fatalf("cold AfterFunc allocates %.2f objects/op, want exactly 1", cold)
+			if cold != slabs {
+				t.Fatalf("%d cold AfterFuncs allocate %d objects, want exactly %d (one per slab)",
+					slabs*slabSize, cold, slabs)
 			}
 			for i := 0; i < 64; i++ {
 				tm, err := rt.AfterFunc(time.Second, noopAction)
@@ -194,14 +207,14 @@ func TestDeliveryTelemetryAddsNoAllocs(t *testing.T) {
 	}
 }
 
-// TestScheduleStopAllocFreeWithPriority pins the same guarantee with the
-// overload machinery engaged: ScheduleOptions are plain values, and the
-// priority rides inside the recycled Timer, so WithPriority adds no
-// allocations to the hot path.
-func TestScheduleStopAllocFreeWithPriority(t *testing.T) {
+// TestScheduleStopAllocFreeWithTag pins the same guarantee with a
+// schedule option: ScheduleOptions are plain values, and the tag rides
+// inside the recycled Timer, so WithTag adds no allocations to the hot
+// path.
+func TestScheduleStopAllocFreeWithTag(t *testing.T) {
 	rt, _ := newManualRuntime(t)
 	for i := 0; i < 64; i++ {
-		tm, err := rt.AfterFunc(time.Second, noopAction, WithPriority(PriorityCritical))
+		tm, err := rt.AfterFunc(time.Second, noopAction, WithTag(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,19 +223,19 @@ func TestScheduleStopAllocFreeWithPriority(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		tm, err := rt.AfterFunc(time.Second, noopAction, WithPriority(PriorityCritical))
+		tm, err := rt.AfterFunc(time.Second, noopAction, WithTag(7))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tm.Priority() != PriorityCritical {
-			t.Fatal("priority not carried")
+		if tm.Tag() != 7 {
+			t.Fatal("tag not carried")
 		}
 		if !tm.Stop() {
 			t.Fatal("Stop failed")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("AfterFunc(WithPriority)+Stop allocates %.1f allocs/op, want 0", allocs)
+		t.Fatalf("AfterFunc(WithTag)+Stop allocates %.1f allocs/op, want 0", allocs)
 	}
 }
 
@@ -420,22 +433,18 @@ func TestTickerSkipsOverrunPeriods(t *testing.T) {
 	}
 }
 
-// TestStatsInvariantUnderShedding is the satellite-b regression (PR 2),
-// extended for drain accounting: with a saturated one-worker pool,
-// expired must count what actually finished (delivered + shed), and a
-// timer still outstanding at Close is counted in AbandonedOnClose —
-// never silently lost — so
+// TestStatsInvariantWithAbandoned checks the ledger's every term:
+// expired counts what actually ran, and a timer still outstanding at
+// Close is counted in AbandonedOnClose — never silently lost — so
 //
 //	started == expired + stopped + outstanding + abandoned
 //
-// holds at quiescence instead of double-counting shed actions or
-// leaking the abandoned one.
-func TestStatsInvariantUnderShedding(t *testing.T) {
-	rt, fc := newManualRuntime(t, WithAsyncDispatch(1, 1))
-	gate := make(chan struct{})
-	block := func() { <-gate }
+// holds before and after Close.
+func TestStatsInvariantWithAbandoned(t *testing.T) {
+	rt, fc := newManualRuntime(t)
+	var ran atomic.Int64
 	for i := 0; i < 5; i++ {
-		if _, err := rt.AfterFunc(10*time.Millisecond, block); err != nil {
+		if _, err := rt.AfterFunc(10*time.Millisecond, func() { ran.Add(1) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -455,14 +464,11 @@ func TestStatsInvariantUnderShedding(t *testing.T) {
 		t.Fatalf("Poll fired %d, want 5", n)
 	}
 	h := rt.Health()
-	if h.ShedExpiries == 0 {
-		t.Fatalf("expected shedding with 1 worker / queue 1: %s", h)
-	}
 	if h.AbandonedOnClose != 0 {
 		t.Fatalf("abandoned=%d before Close", h.AbandonedOnClose)
 	}
-	close(gate)
-	rt.Close() // drains the pool: every dispatched action has now run
+	checkConservation(t, rt)
+	rt.Close()
 	started, expired, stopped := rt.Stats()
 	outstanding := uint64(rt.Outstanding())
 	h = rt.Health()
@@ -476,46 +482,8 @@ func TestStatsInvariantUnderShedding(t *testing.T) {
 	if outstanding != 0 {
 		t.Fatalf("outstanding=%d on a closed runtime, want 0", outstanding)
 	}
-	if expired != h.Delivered+h.ShedExpiries {
-		t.Fatalf("expired=%d != delivered=%d + shed=%d", expired, h.Delivered, h.ShedExpiries)
-	}
-	if h.Delivered+h.ShedExpiries != 5 {
-		t.Fatalf("delivered=%d shed=%d, want 5 total", h.Delivered, h.ShedExpiries)
-	}
-	// The per-class split must sum to the totals (everything here was
-	// default PriorityNormal).
-	nc := h.ByClass[PriorityNormal]
-	if nc.Delivered != h.Delivered || nc.Shed != h.ShedExpiries {
-		t.Fatalf("ByClass[normal]=%+v, want the whole delivered/shed total", nc)
-	}
-}
-
-// TestAfterDeliversUnderShedding is the satellite-c regression: After
-// sends are non-blocking by construction and run inline on the driver,
-// so a saturated dispatch pool can never strand the channel receiver.
-func TestAfterDeliversUnderShedding(t *testing.T) {
-	rt, fc := newManualRuntime(t, WithAsyncDispatch(1, 0))
-	gate := make(chan struct{})
-	defer close(gate)
-	// Saturate: several blocking actions due on the same tick.
-	for i := 0; i < 4; i++ {
-		if _, err := rt.AfterFunc(10*time.Millisecond, func() { <-gate }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ch, err := rt.After(10 * time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc.Advance(10 * time.Millisecond)
-	rt.Poll()
-	select {
-	case <-ch:
-	default:
-		t.Fatal("After channel did not receive: send was shed or deferred")
-	}
-	if h := rt.Health(); h.ShedExpiries == 0 {
-		t.Fatalf("test precondition: pool should have shed something: %s", h)
+	if expired != h.Delivered || h.Delivered != 5 || ran.Load() != 5 {
+		t.Fatalf("expired=%d delivered=%d ran=%d, want 5/5/5", expired, h.Delivered, ran.Load())
 	}
 }
 

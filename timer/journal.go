@@ -1,8 +1,7 @@
 package timer
 
 // Journal observes lifecycle transitions of tagged timers — the hook a
-// durability layer (cmd/twd's write-ahead log) hangs off so that
-// logging composes with the batched-ingress admission path without a
+// durability layer (cmd/twd's write-ahead log) hangs off without a
 // second lock acquisition per operation: every callback fires at the
 // point the facility itself settles the transition, with whatever locks
 // that point already holds, never an extra one.
@@ -11,40 +10,28 @@ package timer
 // runtime's internal timers and untagged user timers cost a single nil
 // check. The callbacks must be fast, must not block, and must not call
 // back into the runtime (TimerArmed/TimerStopped run under the
-// runtime's internal lock; TimerFired and TimerShed run on the driver
-// or a dispatch worker with no runtime lock held, except for a staged
-// admission refused by a bounded scheme, whose TimerShed runs under the
-// lock).
+// runtime's internal lock; TimerFired runs on the delivering goroutine
+// with no runtime lock held).
 //
 // Timing guarantees, per tag:
 //
 //   - TimerArmed runs when the timer is armed in the facility, in
 //     facility order — for every (re)arm, including Reset/ResetBatch.
-//     On a WithIngress runtime that is at intent apply time, not at the
-//     (earlier) staging call.
-//   - TimerStopped runs when a cancellation settles. id is 0 when the
-//     timer was stopped while still staged (it was never armed).
+//   - TimerStopped runs when a cancellation settles.
 //   - TimerFired runs when the expiry action has actually run (or the
 //     After send was delivered), with the delivery lag in nanoseconds.
-//     A journal that also implements FireBatcher receives the fires a
-//     poll delivers inline through TimersFired instead, one call per
-//     poll; TimerFired then carries only fires run by an async dispatch
-//     worker. Either way each fire is reported exactly once, after its
-//     action ran.
-//   - TimerShed runs when the expiry action is definitively dropped
-//     under overload (after retries), or when a staged admission is
-//     refused by a bounded scheme.
+//     A journal that also implements FireBatcher receives the fires
+//     through TimersFired instead, one call per poll. Either way each
+//     fire is reported exactly once, after its action ran.
 //
-// Retry re-arms (WithShedRetry) are internal and not reported as
-// TimerArmed; the action's eventual TimerFired or TimerShed is. Timers
-// cancelled en masse by Close or a drain policy's cut-off are counted
-// in DrainReport/Health, not journaled per timer — a write-ahead log
-// deliberately keeps them outstanding so they replay on the next boot.
+// Timers cancelled en masse by Close or a drain policy's cut-off are
+// counted in DrainReport/Health, not journaled per timer — a
+// write-ahead log deliberately keeps them outstanding so they replay on
+// the next boot.
 type Journal interface {
 	TimerArmed(tag uint64, id ID, deadline Tick)
 	TimerStopped(tag uint64, id ID)
 	TimerFired(tag uint64, id ID, lagNS int64)
-	TimerShed(tag uint64, id ID)
 }
 
 // Fire is one journaled delivery: the timer's tag and facility ID and
@@ -61,7 +48,7 @@ type Fire struct {
 // rather than once per fire.
 //
 // TimersFired runs once per poll (and once per DrainFireNow burst) that
-// delivered tagged timers inline, on the goroutine that ran the poll,
+// delivered tagged timers, on the goroutine that ran the poll,
 // after every expiry action of the poll has run, and with no runtime
 // lock held. fires lists the poll's tagged deliveries in delivery
 // order. The slice is the runtime's reused buffer: it is valid only for
@@ -106,40 +93,36 @@ func WithJournal(j Journal) RuntimeOption {
 // A tagged timer may have a nil callback (AfterFunc, Schedule, or a Req
 // with a nil Fn): it is a journal-only timer, whose delivery is its
 // Journal fire alone. It runs nothing, so it skips the recovery barrier
-// and the callback-duration histogram, and it is never handed to an
-// async dispatch pool.
+// and the callback-duration histogram.
 func WithTag(tag uint64) ScheduleOption {
-	return ScheduleOption{tag: tag, hasTag: true}
+	return ScheduleOption{tag: tag}
 }
 
-// WithTag returns a copy of o that also carries the tag, so a batch
-// Req's single Opt can hold both a priority and a tag:
-//
-//	Req{Fn: fn, After: d, Opt: WithPriority(PriorityCritical).WithTag(id)}
-func (o ScheduleOption) WithTag(tag uint64) ScheduleOption {
-	o.tag = tag
-	o.hasTag = true
-	return o
+// ScheduleOption configures one schedule call (AfterFunc, Schedule,
+// After, Every, or a batch Req). Options are plain values, not closures,
+// so passing them on the hot path allocates nothing. The zero value
+// sets nothing.
+type ScheduleOption struct {
+	tag uint64
 }
 
-// apply copies the option's settings onto a timer being scheduled.
-func (o ScheduleOption) apply(t *Timer) {
-	if o.hasPrio {
-		t.prio = o.prio
+// tagOf returns the tag opts leave a timer with: the last one set.
+func tagOf(opts []ScheduleOption) uint64 {
+	var tag uint64
+	for _, o := range opts {
+		tag = o.tag
 	}
-	if o.hasTag {
-		t.tag = o.tag
-	}
+	return tag
 }
 
 // Tag reports the identity the timer was scheduled with (0 = untagged).
 func (t *Timer) Tag() uint64 { return t.tag }
 
 // journalArmed reports an arm for t if it is tagged. Caller holds
-// rt.mu; the entry ID and t.deadline are set.
+// rt.mu; the entry is armed.
 func (rt *Runtime) journalArmed(t *Timer) {
 	if rt.journal != nil && t.tag != 0 {
-		rt.journal.TimerArmed(t.tag, t.ID(), t.deadline)
+		rt.journal.TimerArmed(t.tag, t.ID(), t.ent.When)
 	}
 }
 
@@ -150,43 +133,12 @@ func (rt *Runtime) journalStopped(t *Timer) {
 	}
 }
 
-// journalFired reports a delivery an async dispatch worker completed
-// for t if it is tagged, computing the lag the same way the telemetry
-// layer does. Inline deliveries go through appendFire instead.
-func (rt *Runtime) journalFired(t *Timer) {
-	if rt.journal != nil && t.tag != 0 {
-		lag := rt.lastTick.Load() - int64(t.deadline)
-		if lag < 0 {
-			lag = 0
-		}
-		rt.journal.TimerFired(t.tag, t.ID(), lag*rt.granNS)
-	}
-}
-
-// appendFire adds t's delivery, lag ticks late, to the poll's batch if
-// t is tagged. It reads t before the caller may recycle it.
-func (rt *Runtime) appendFire(fires []Fire, t *Timer, lag int64) []Fire {
-	if rt.batcher != nil && t.tag != 0 {
-		fires = append(fires, Fire{Tag: t.tag, ID: t.ID(), LagNS: lag * rt.granNS})
+// appendFire adds f's delivery, lag ticks late, to the poll's batch if
+// its timer is tagged. It reads the Timer before the caller may recycle
+// it.
+func (rt *Runtime) appendFire(fires []Fire, f firing, lag int64) []Fire {
+	if rt.batcher != nil && f.t.tag != 0 {
+		fires = append(fires, Fire{Tag: f.t.tag, ID: f.id, LagNS: lag * rt.granNS})
 	}
 	return fires
-}
-
-// journalOnly reports whether a request with a nil callback is a
-// journal-only timer: its options leave it a nonzero tag.
-func journalOnly(opts ...ScheduleOption) bool {
-	var tag uint64
-	for _, o := range opts {
-		if o.hasTag {
-			tag = o.tag
-		}
-	}
-	return tag != 0
-}
-
-// journalShed reports a definitive overload drop for t if it is tagged.
-func (rt *Runtime) journalShed(t *Timer) {
-	if rt.journal != nil && t.tag != 0 {
-		rt.journal.TimerShed(t.tag, t.ID())
-	}
 }

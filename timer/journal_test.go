@@ -12,14 +12,14 @@ import (
 
 // jEvent is one recorded Journal callback.
 type jEvent struct {
-	kind string // "armed" | "stopped" | "fired" | "shed"
+	kind string // "armed" | "stopped" | "fired"
 	tag  uint64
 	id   ID
 	lag  int64
 }
 
 // recordingJournal captures every callback in order; safe for
-// concurrent use (TimerFired may run on dispatch workers).
+// concurrent use (polls may run on several goroutines).
 type recordingJournal struct {
 	mu     sync.Mutex
 	events []jEvent
@@ -39,9 +39,6 @@ func (j *recordingJournal) TimerStopped(tag uint64, id ID) {
 }
 func (j *recordingJournal) TimerFired(tag uint64, id ID, lagNS int64) {
 	j.add(jEvent{kind: "fired", tag: tag, id: id, lag: lagNS})
-}
-func (j *recordingJournal) TimerShed(tag uint64, id ID) {
-	j.add(jEvent{kind: "shed", tag: tag, id: id})
 }
 
 // byTag returns the event kinds recorded for one tag, in order.
@@ -150,74 +147,6 @@ func TestJournalResetReportsRearm(t *testing.T) {
 	}
 }
 
-// TestJournalIngressArmAtApplyTime pins the documented timing: on a
-// WithIngress runtime TimerArmed runs when the intent applies (at
-// Poll), not at the staging call.
-func TestJournalIngressArmAtApplyTime(t *testing.T) {
-	j := &recordingJournal{}
-	rt, fc := newIngressRuntime(t, WithJournal(j))
-	if _, err := rt.AfterFunc(20*time.Millisecond, func() {}, WithTag(3)); err != nil {
-		t.Fatalf("AfterFunc: %v", err)
-	}
-	if ev := j.byTag(3); len(ev) != 0 {
-		t.Fatalf("journaled before apply: %v", kinds(ev))
-	}
-	rt.Poll() // applies the staged schedule
-	if ev := j.byTag(3); !sameKinds(ev, "armed") {
-		t.Fatalf("after apply: %v, want [armed]", kinds(ev))
-	}
-	fc.Advance(20 * time.Millisecond)
-	rt.Poll()
-	if ev := j.byTag(3); !sameKinds(ev, "armed", "fired") {
-		t.Fatalf("after fire: %v, want [armed fired]", kinds(ev))
-	}
-}
-
-// TestJournalIngressStagedStopHasZeroID pins the documented id
-// semantics: a timer stopped while still staged was never armed, so
-// TimerStopped reports id 0 and no TimerArmed precedes it.
-func TestJournalIngressStagedStopHasZeroID(t *testing.T) {
-	j := &recordingJournal{}
-	rt, _ := newIngressRuntime(t, WithJournal(j))
-	tm, err := rt.AfterFunc(time.Second, func() {}, WithTag(4))
-	if err != nil {
-		t.Fatalf("AfterFunc: %v", err)
-	}
-	if !tm.Stop() {
-		t.Fatal("Stop refused")
-	}
-	rt.Poll() // settles the schedule/stop pair
-	ev := j.byTag(4)
-	if !sameKinds(ev, "stopped") {
-		t.Fatalf("tag 4: %v, want [stopped] only", kinds(ev))
-	}
-	if ev[0].id != 0 {
-		t.Fatalf("staged stop id = %d, want 0 (never armed)", ev[0].id)
-	}
-}
-
-// TestJournalShedStagedAdmission covers the bounded-scheme refusal: a
-// staged admission whose deadline is beyond the scheme's horizon sheds
-// at apply time and must be journaled as TimerShed with id 0.
-func TestJournalShedStagedAdmission(t *testing.T) {
-	j := &recordingJournal{}
-	// Hierarchical 4x4: horizon 15 ticks = 150ms at 10ms granularity.
-	rt, _ := newIngressRuntime(t, WithJournal(j),
-		WithScheme(NewHierarchicalWheel([]int{4, 4}, MigrateAlways)))
-	if _, err := rt.AfterFunc(time.Hour, func() {}, WithTag(6)); err != nil {
-		t.Fatalf("AfterFunc: %v", err)
-	}
-	rt.Poll() // apply: the arm is refused, the admission sheds
-	ev := j.byTag(6)
-	if !sameKinds(ev, "shed") {
-		t.Fatalf("tag 6: %v, want [shed]", kinds(ev))
-	}
-	if ev[0].id != 0 {
-		t.Fatalf("shed staged id = %d, want 0 (never armed)", ev[0].id)
-	}
-	checkConservation(t, rt)
-}
-
 func TestResetBatchSync(t *testing.T) {
 	rt, fc := newManualRuntime(t)
 	fired := 0
@@ -255,98 +184,32 @@ func TestResetBatchSync(t *testing.T) {
 	checkConservation(t, rt)
 }
 
-func TestResetBatchIngressArmed(t *testing.T) {
-	rt, fc := newIngressRuntime(t)
+// TestResetBatchCountsRefusals: a re-arm the scheme refuses (beyond a
+// bounded hierarchy's horizon) is not counted, is reported as the
+// batch's error, and leaves its timer at the old deadline; the rest of
+// the batch applies.
+func TestResetBatchCountsRefusals(t *testing.T) {
+	// Hierarchical 4x4: horizon 15 ticks = 150ms at 10ms granularity.
+	rt, fc := newManualRuntime(t, WithScheme(NewHierarchicalWheel([]int{4, 4}, MigrateAlways)))
 	var fired atomic.Int64
-	reqs := make([]Req, 8)
-	for i := range reqs {
-		reqs[i] = Req{After: 30 * time.Millisecond, Fn: func() { fired.Add(1) }}
-	}
-	timers, err := rt.ScheduleBatch(reqs)
-	if err != nil {
-		t.Fatalf("ScheduleBatch: %v", err)
-	}
-	rt.Poll() // arm them all
-	rr := make([]ResetReq, len(timers))
-	for i, tm := range timers {
-		rr[i] = ResetReq{T: tm, After: 60 * time.Millisecond}
-	}
-	n, err := rt.ResetBatch(rr)
-	if err != nil || n != 8 {
-		t.Fatalf("ResetBatch = (%d, %v), want (8, nil)", n, err)
-	}
-	fc.Advance(40 * time.Millisecond)
-	rt.Poll()
-	if fired.Load() != 0 {
-		t.Fatalf("fired=%d at the superseded deadline, want 0", fired.Load())
-	}
-	fc.Advance(20 * time.Millisecond)
-	rt.Poll()
-	if fired.Load() != 8 {
-		t.Fatalf("fired=%d, want 8", fired.Load())
-	}
-	checkConservation(t, rt)
-}
-
-// TestResetBatchIngressStaged resets timers whose schedule intents have
-// not applied yet: FIFO order arms each schedule before its reset
-// applies, so the batch must still land every timer on the new
-// deadline without double-arming.
-func TestResetBatchIngressStaged(t *testing.T) {
-	rt, fc := newIngressRuntime(t)
-	var fired atomic.Int64
-	reqs := make([]Req, 8)
-	for i := range reqs {
-		reqs[i] = Req{After: 30 * time.Millisecond, Fn: func() { fired.Add(1) }}
-	}
-	timers, err := rt.ScheduleBatch(reqs)
-	if err != nil {
-		t.Fatalf("ScheduleBatch: %v", err)
-	}
-	rr := make([]ResetReq, len(timers))
-	for i, tm := range timers {
-		rr[i] = ResetReq{T: tm, After: 60 * time.Millisecond}
-	}
-	if n, err := rt.ResetBatch(rr); err != nil || n != 8 {
-		t.Fatalf("ResetBatch = (%d, %v), want (8, nil)", n, err)
-	}
-	fc.Advance(40 * time.Millisecond)
-	rt.Poll()
-	if fired.Load() != 0 {
-		t.Fatalf("fired=%d at the superseded deadline, want 0", fired.Load())
-	}
-	fc.Advance(20 * time.Millisecond)
-	rt.Poll()
-	if fired.Load() != 8 {
-		t.Fatalf("fired=%d, want exactly 8 (no double-arm)", fired.Load())
-	}
-	fc.Advance(time.Second)
-	rt.Poll()
-	if fired.Load() != 8 {
-		t.Fatalf("fired=%d after settling, want 8", fired.Load())
-	}
-	checkConservation(t, rt)
-}
-
-func TestResetBatchRefusesCommittedStop(t *testing.T) {
-	rt, fc := newIngressRuntime(t)
-	tmStopped, _ := rt.AfterFunc(30*time.Millisecond, func() { t.Error("stopped timer fired") })
-	var fired atomic.Int64
-	tmLive, _ := rt.AfterFunc(30*time.Millisecond, func() { fired.Add(1) })
-	if !tmStopped.Stop() {
-		t.Fatal("Stop refused")
-	}
+	tmFar, _ := rt.AfterFunc(30*time.Millisecond, func() { fired.Add(1) })
+	tmNear, _ := rt.AfterFunc(30*time.Millisecond, func() { fired.Add(1) })
 	n, err := rt.ResetBatch([]ResetReq{
-		{T: tmStopped, After: 60 * time.Millisecond},
-		{T: tmLive, After: 60 * time.Millisecond},
+		{T: tmFar, After: time.Hour},
+		{T: tmNear, After: 60 * time.Millisecond},
 	})
-	if err != ErrStopPending || n != 1 {
-		t.Fatalf("ResetBatch = (%d, %v), want (1, ErrStopPending)", n, err)
+	if !errors.Is(err, ErrIntervalOutOfRange) || n != 1 {
+		t.Fatalf("ResetBatch = (%d, %v), want (1, ErrIntervalOutOfRange)", n, err)
 	}
-	fc.Advance(60 * time.Millisecond)
+	fc.Advance(30 * time.Millisecond)
 	rt.Poll()
 	if fired.Load() != 1 {
-		t.Fatalf("live timer fired %d times, want 1", fired.Load())
+		t.Fatalf("fired=%d at the old deadline, want 1 (the refused re-arm)", fired.Load())
+	}
+	fc.Advance(30 * time.Millisecond)
+	rt.Poll()
+	if fired.Load() != 2 {
+		t.Fatalf("fired=%d at the new deadline, want 2", fired.Load())
 	}
 	checkConservation(t, rt)
 }
@@ -386,56 +249,17 @@ func TestResetBatchSharded(t *testing.T) {
 	}
 }
 
-// TestDrainFireNowStagedBeyondHorizon is the deterministic half of the
-// staged-admission/drain race fix: admissions staged but not yet
-// applied when Drain(DrainFireNow) begins must land in the report's
-// ledger. The beyond-horizon ones shed at apply time — inside the
-// drain's ingress fence — and a report that took its baselines after
-// the fence would subtract them out, making them vanish.
-func TestDrainFireNowStagedBeyondHorizon(t *testing.T) {
-	// Hierarchical 4x4: horizon 15 ticks = 150ms at 10ms granularity.
-	rt, _ := newIngressRuntime(t,
-		WithScheme(NewHierarchicalWheel([]int{4, 4}, MigrateAlways)))
-	var fired atomic.Int64
-	for i := 0; i < 8; i++ {
-		if _, err := rt.AfterFunc(time.Hour, func() { fired.Add(1) }); err != nil {
-			t.Fatalf("AfterFunc(1h): %v", err)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := rt.AfterFunc(50*time.Millisecond, func() { fired.Add(1) }); err != nil {
-			t.Fatalf("AfterFunc(50ms): %v", err)
-		}
-	}
-	// No Poll: all 12 admissions are still staged when the drain begins.
-	rep, err := rt.Drain(context.Background(), DrainFireNow)
-	if err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	if rep.Shed != 8 {
-		t.Fatalf("report.Shed=%d, want 8 (staged beyond-horizon admissions must not vanish)", rep.Shed)
-	}
-	if rep.Fired != 4 || fired.Load() != 4 {
-		t.Fatalf("report.Fired=%d actual=%d, want 4/4", rep.Fired, fired.Load())
-	}
-	if rep.Cancelled != 0 {
-		t.Fatalf("report.Cancelled=%d, want 0", rep.Cancelled)
-	}
-	checkConservation(t, rt)
-}
-
-// TestDrainFireNowRacesLateScheduleBatch is the race hammer for the
-// same fix: producers push ScheduleBatch and ResetBatch traffic — some
-// of it beyond a bounded scheme's horizon, so staged admissions shed at
-// apply time — while Drain(DrainFireNow) lands mid-batch. Every
-// admitted timer must end up in exactly one ledger bucket.
+// TestDrainFireNowRacesLateScheduleBatch is a race hammer: producers
+// push ScheduleBatch, StopBatch and ResetBatch traffic — some of it
+// beyond a bounded scheme's horizon, so some arms and re-arms are
+// refused — while Drain(DrainFireNow) lands mid-batch. Every admitted
+// timer must end up in exactly one ledger bucket.
 func TestDrainFireNowRacesLateScheduleBatch(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		// Horizon 63 ticks = 63ms at 1ms granularity; intervals are drawn
-		// from [1ms, 100ms] so a fraction of admissions shed on apply.
+		// from [1ms, 100ms] so a fraction of arms are refused.
 		rt := NewRuntime(
 			WithGranularity(time.Millisecond),
-			WithIngress(1<<8),
 			WithScheme(NewHierarchicalWheel([]int{8, 8}, MigrateAlways)),
 		)
 		const producers = 4
@@ -455,7 +279,7 @@ func TestDrainFireNowRacesLateScheduleBatch(t *testing.T) {
 						}
 					}
 					timers, err := rt.ScheduleBatch(reqs)
-					if err != nil {
+					if err != nil && !errors.Is(err, ErrIntervalOutOfRange) {
 						return // draining/closed: hammer over
 					}
 					switch rng.Intn(3) {
@@ -472,8 +296,7 @@ func TestDrainFireNowRacesLateScheduleBatch(t *testing.T) {
 			}(p)
 		}
 		time.Sleep(20 * time.Millisecond)
-		// Drain lands while producers are mid-batch: staged-but-undrained
-		// intents must be applied and accounted, never dropped.
+		// Drain lands while producers are mid-batch.
 		if _, err := rt.Drain(context.Background(), DrainFireNow); err != nil {
 			t.Fatalf("Drain: %v", err)
 		}
@@ -515,71 +338,61 @@ func (j *batchJournal) TimersFired(fires []Fire) {
 // runtime lock held; untagged timers stay out of the batch, and the
 // per-fire TimerFired is not called.
 func TestTimersFiredOneCallPerPoll(t *testing.T) {
-	for _, ingress := range []bool{false, true} {
-		t.Run(map[bool]string{false: "sync", true: "ingress"}[ingress], func(t *testing.T) {
-			const n = 64
-			j := &batchJournal{}
-			opts := []RuntimeOption{WithJournal(j)}
-			if ingress {
-				opts = append(opts, WithIngress(0))
-			}
-			rt, fc := newFakeRuntime(t, opts...)
-			ran := 0
-			timers := make(map[uint64]*Timer, n)
-			for i := 1; i <= n; i++ {
-				var fn func()
-				if i%2 == 0 {
-					fn = func() { ran++ } // half run a callback, half are journal-only
-				}
-				tm, err := rt.Schedule(Tick(i), fn, WithTag(uint64(i)))
-				if err != nil {
-					t.Fatalf("Schedule(%d): %v", i, err)
-				}
-				timers[uint64(i)] = tm
-			}
-			if _, err := rt.AfterFunc(10*time.Millisecond, func() {}); err != nil { // untagged
-				t.Fatal(err)
-			}
-			j.onBatch = func() {
-				if ran != n/2 {
-					t.Errorf("TimersFired ran after %d of %d callbacks", ran, n/2)
-				}
-				rt.Outstanding() // takes rt.mu: deadlocks if the poll still held it
-			}
-			fc.Advance(n * 10 * time.Millisecond)
-			if got := rt.Poll(); got != n+1 {
-				t.Fatalf("Poll fired %d, want %d", got, n+1)
-			}
-			if len(j.batches) != 1 || len(j.batches[0]) != n {
-				t.Fatalf("TimersFired calls %d (first of %d fires), want 1 call of %d", len(j.batches), len(j.batches), n)
-			}
-			for _, f := range j.batches[0] {
-				// Read after the poll: an ingress timer gets its ID when
-				// its staged schedule applies.
-				if tm := timers[f.Tag]; tm == nil || f.ID != tm.ID() {
-					t.Fatalf("fire tag %d: id %d does not match its timer", f.Tag, f.ID)
-				}
-				if want := int64(n-int(f.Tag)) * int64(10*time.Millisecond); f.LagNS != want {
-					t.Fatalf("fire tag %d: lag %dns, want %dns", f.Tag, f.LagNS, want)
-				}
-				delete(timers, f.Tag)
-			}
-			if len(timers) != 0 {
-				t.Fatalf("%d tagged timers missing from the batch", len(timers))
-			}
-			for _, e := range j.events {
-				if e.kind == "fired" {
-					t.Fatalf("TimerFired called for tag %d alongside TimersFired", e.tag)
-				}
-			}
-			fc.Advance(10 * time.Millisecond)
-			rt.Poll()
-			if len(j.batches) != 1 {
-				t.Fatalf("a poll that fired no tagged timer called TimersFired")
-			}
-			checkConservation(t, rt)
-		})
+	const n = 64
+	j := &batchJournal{}
+	rt, fc := newFakeRuntime(t, WithJournal(j))
+	ran := 0
+	timers := make(map[uint64]*Timer, n)
+	for i := 1; i <= n; i++ {
+		var fn func()
+		if i%2 == 0 {
+			fn = func() { ran++ } // half run a callback, half are journal-only
+		}
+		tm, err := rt.Schedule(Tick(i), fn, WithTag(uint64(i)))
+		if err != nil {
+			t.Fatalf("Schedule(%d): %v", i, err)
+		}
+		timers[uint64(i)] = tm
 	}
+	if _, err := rt.AfterFunc(10*time.Millisecond, func() {}); err != nil { // untagged
+		t.Fatal(err)
+	}
+	j.onBatch = func() {
+		if ran != n/2 {
+			t.Errorf("TimersFired ran after %d of %d callbacks", ran, n/2)
+		}
+		rt.Outstanding() // takes rt.mu: deadlocks if the poll still held it
+	}
+	fc.Advance(n * 10 * time.Millisecond)
+	if got := rt.Poll(); got != n+1 {
+		t.Fatalf("Poll fired %d, want %d", got, n+1)
+	}
+	if len(j.batches) != 1 || len(j.batches[0]) != n {
+		t.Fatalf("TimersFired calls %d (first of %d fires), want 1 call of %d", len(j.batches), len(j.batches), n)
+	}
+	for _, f := range j.batches[0] {
+		if tm := timers[f.Tag]; tm == nil || f.ID != tm.ID() {
+			t.Fatalf("fire tag %d: id %d does not match its timer", f.Tag, f.ID)
+		}
+		if want := int64(n-int(f.Tag)) * int64(10*time.Millisecond); f.LagNS != want {
+			t.Fatalf("fire tag %d: lag %dns, want %dns", f.Tag, f.LagNS, want)
+		}
+		delete(timers, f.Tag)
+	}
+	if len(timers) != 0 {
+		t.Fatalf("%d tagged timers missing from the batch", len(timers))
+	}
+	for _, e := range j.events {
+		if e.kind == "fired" {
+			t.Fatalf("TimerFired called for tag %d alongside TimersFired", e.tag)
+		}
+	}
+	fc.Advance(10 * time.Millisecond)
+	rt.Poll()
+	if len(j.batches) != 1 {
+		t.Fatalf("a poll that fired no tagged timer called TimersFired")
+	}
+	checkConservation(t, rt)
 }
 
 // TestJournalWithoutBatcherSeesEachFire: a Journal without TimersFired
@@ -614,51 +427,43 @@ func TestJournalWithoutBatcherSeesEachFire(t *testing.T) {
 // TestJournalOnlyTimer: a tagged request with a nil callback is
 // accepted by every scheduling call and fires through the journal
 // without running (or timing) a callback; an untagged nil callback, or
-// one tagged 0, is still refused with ErrNilCallback.
+// one whose last tag is 0, is still refused with ErrNilCallback.
 func TestJournalOnlyTimer(t *testing.T) {
-	for _, ingress := range []bool{false, true} {
-		t.Run(map[bool]string{false: "sync", true: "ingress"}[ingress], func(t *testing.T) {
-			j := &batchJournal{}
-			opts := []RuntimeOption{WithJournal(j), WithAsyncDispatch(1, 4)}
-			if ingress {
-				opts = append(opts, WithIngress(0))
-			}
-			rt, fc := newFakeRuntime(t, opts...)
-			if _, err := rt.AfterFunc(10*time.Millisecond, nil, WithTag(1)); err != nil {
-				t.Fatalf("tagged AfterFunc(nil): %v", err)
-			}
-			if _, err := rt.Schedule(1, nil, WithPriority(PriorityCritical), WithTag(2)); err != nil {
-				t.Fatalf("tagged Schedule(nil): %v", err)
-			}
-			timers, err := rt.ScheduleBatch([]Req{
-				{After: 10 * time.Millisecond, Opt: WithTag(3)},
-				{After: 10 * time.Millisecond},
-				{After: 10 * time.Millisecond, Opt: WithPriority(PriorityBestEffort).WithTag(0)},
-			})
-			if !errors.Is(err, ErrNilCallback) || timers[0] == nil || timers[1] != nil || timers[2] != nil {
-				t.Fatalf("ScheduleBatch: err=%v timers=%v; want tagged slot armed, untagged slots refused", err, timers)
-			}
-			if _, err := rt.AfterFunc(10*time.Millisecond, nil); !errors.Is(err, ErrNilCallback) {
-				t.Fatalf("untagged AfterFunc(nil): err=%v, want ErrNilCallback", err)
-			}
-			if _, err := rt.Schedule(1, nil, WithTag(5), WithTag(0)); !errors.Is(err, ErrNilCallback) {
-				t.Fatalf("Schedule(nil) retagged 0: err=%v, want ErrNilCallback", err)
-			}
-			fc.Advance(10 * time.Millisecond)
-			rt.Poll()
-			if len(j.batches) != 1 || len(j.batches[0]) != 3 {
-				t.Fatalf("TimersFired batches %v, want one batch of tags 1-3", j.batches)
-			}
-			h := rt.Health()
-			if h.Delivered != 3 || h.Dispatched != 0 {
-				t.Fatalf("delivered=%d dispatched=%d, want 3 inline deliveries", h.Delivered, h.Dispatched)
-			}
-			if c := rt.Snapshot().CallbackNS.Count; c != 0 {
-				t.Fatalf("journal-only timers recorded %d callback durations", c)
-			}
-			checkConservation(t, rt)
-		})
+	j := &batchJournal{}
+	rt, fc := newFakeRuntime(t, WithJournal(j))
+	if _, err := rt.AfterFunc(10*time.Millisecond, nil, WithTag(1)); err != nil {
+		t.Fatalf("tagged AfterFunc(nil): %v", err)
 	}
+	if _, err := rt.Schedule(1, nil, WithTag(9), WithTag(2)); err != nil {
+		t.Fatalf("tagged Schedule(nil): %v", err)
+	}
+	timers, err := rt.ScheduleBatch([]Req{
+		{After: 10 * time.Millisecond, Opt: WithTag(3)},
+		{After: 10 * time.Millisecond},
+		{After: 10 * time.Millisecond, Opt: WithTag(0)},
+	})
+	if !errors.Is(err, ErrNilCallback) || timers[0] == nil || timers[1] != nil || timers[2] != nil {
+		t.Fatalf("ScheduleBatch: err=%v timers=%v; want tagged slot armed, untagged slots refused", err, timers)
+	}
+	if _, err := rt.AfterFunc(10*time.Millisecond, nil); !errors.Is(err, ErrNilCallback) {
+		t.Fatalf("untagged AfterFunc(nil): err=%v, want ErrNilCallback", err)
+	}
+	if _, err := rt.Schedule(1, nil, WithTag(5), WithTag(0)); !errors.Is(err, ErrNilCallback) {
+		t.Fatalf("Schedule(nil) retagged 0: err=%v, want ErrNilCallback", err)
+	}
+	fc.Advance(10 * time.Millisecond)
+	rt.Poll()
+	if len(j.batches) != 1 || len(j.batches[0]) != 3 {
+		t.Fatalf("TimersFired batches %v, want one batch of tags 1-3", j.batches)
+	}
+	h := rt.Health()
+	if h.Delivered != 3 {
+		t.Fatalf("delivered=%d, want 3", h.Delivered)
+	}
+	if c := rt.Snapshot().CallbackNS.Count; c != 0 {
+		t.Fatalf("journal-only timers recorded %d callback durations", c)
+	}
+	checkConservation(t, rt)
 }
 
 // TestTimersFiredConcurrentPolls: polls racing on several goroutines

@@ -7,11 +7,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"timingwheels/clock"
 	iclock "timingwheels/internal/clock"
 	"timingwheels/internal/core"
-	"timingwheels/internal/dispatch"
 	"timingwheels/internal/hdr"
 )
 
@@ -38,21 +38,11 @@ type runtimeConfig struct {
 	panicHandler func(recovered any)
 	budget       time.Duration
 	slowHandler  func(elapsed time.Duration)
-	asyncWorkers int
-	asyncQueue   int
 	maxCatchUp   Tick
-
-	// Overload-degradation knobs; see priority.go.
-	retryBudget  int
-	retryBackoff time.Duration
-	shedHandler  func(ShedInfo)
 
 	// Telemetry knobs; see trace.go.
 	traceCap  int
 	traceSink io.Writer
-
-	// Batched-ingress knob; see ingress.go.
-	ingressDepth int
 
 	// Durability hook; see journal.go.
 	journal Journal
@@ -115,8 +105,7 @@ func WithManualDriver() RuntimeOption {
 // Expiry functions run on the runtime's ticking goroutine, outside the
 // internal lock, so they may schedule and stop other timers; they should
 // not block for long, or they delay other expiries (the same discipline
-// production hashed-wheel timers impose) — unless WithAsyncDispatch
-// moves them onto a worker pool. Every expiry action runs under a
+// production hashed-wheel timers impose). Every expiry action runs under a
 // recovery barrier: a panicking callback is contained and counted (see
 // Health and WithPanicHandler) instead of killing the driver and
 // stranding every outstanding timer.
@@ -124,11 +113,13 @@ func WithManualDriver() RuntimeOption {
 // # Hot-path memory discipline
 //
 // Each Timer embeds its scheme entry (core.Entry), so an armed timer is
-// one heap object: the production schemes link the Timer's own entry
-// into their slot lists, and fire it through the Timer itself, with no
-// per-timer closure. The schedule→expire→deliver path is allocation-free
-// in steady state: stopped Timers are recycled on the runtime's free
-// list, and the fired buffer is reused across polls; see DESIGN.md.
+// one 112-byte record: the production schemes link the Timer's own
+// entry into their slot lists, and fire it through the Timer itself,
+// with no per-timer closure. Timers are carved from slabs of slabSize,
+// one allocation per slab. The schedule→expire→deliver path is
+// allocation-free in steady state: stopped Timers are recycled on the
+// runtime's free list, and the fired buffer is reused across polls; see
+// DESIGN.md.
 type Runtime struct {
 	mu  sync.Mutex
 	fac Scheme
@@ -151,7 +142,7 @@ type Runtime struct {
 	closed      bool
 	doneClosing chan struct{}
 
-	fired  []*Timer // collected during tick, run after unlock
+	fired  []firing // collected during tick, run after unlock
 	stopCh chan struct{}
 	doneCh chan struct{}
 	wake   chan struct{} // tickless driver poke; nil in ticking mode
@@ -159,38 +150,23 @@ type Runtime struct {
 	// under mu by the driver (notParked while it is awake) and read by
 	// admissions outside it: see wakeFor.
 	parkedUntil atomic.Int64
-	// started is atomic because WithIngress producers count admissions
-	// outside rt.mu; stopped stays guarded by mu. Cancellations that
-	// WithIngress producers settle entirely on their side (stop of a
-	// still-staged timer) land in stoppedStaged instead, so the
-	// synchronous stop path never pays an atomic; Stats sums the two.
-	started       atomic.Uint64
-	stopped       uint64
-	stoppedStaged atomic.Uint64
-
-	// ing is the batched-admission staging state; nil (synchronous
-	// admission) unless WithIngress.
-	ing *ingressState
+	// started and stopped are lifetime counters, guarded by mu.
+	started, stopped uint64
 
 	// freeMu guards the Timer free list and the fired-buffer pool. It is
 	// a leaf lock: acquired with rt.mu held (Poll's buffer swap) or with
-	// no lock held, and never the other way around.
-	freeMu     sync.Mutex
-	freeTimers *Timer
-	bufs       [][]*Timer
-	fireBufs   [][]Fire
+	// no lock held, and never the other way around. free is a stack of
+	// recycled Timers, refilled a slab at a time when empty.
+	freeMu   sync.Mutex
+	free     []*Timer
+	bufs     [][]firing
+	fireBufs [][]Fire
 
 	// Hardening configuration (immutable after NewRuntime).
 	panicHandler func(recovered any)
 	budget       time.Duration
 	slowHandler  func(elapsed time.Duration)
-	pool         *dispatch.ClassPool[*Timer] // nil unless WithAsyncDispatch
-	maxCatchUp   Tick                        // per-poll advance cap; <= 0 means unbounded
-
-	// Overload-degradation configuration (immutable after NewRuntime).
-	retryBudget  int
-	retryBackoff Tick // base retry backoff, in ticks
-	shedHandler  func(ShedInfo)
+	maxCatchUp   Tick // per-poll advance cap; <= 0 means unbounded
 
 	// journal is the durability hook (immutable after NewRuntime); nil
 	// unless WithJournal. batcher is where a poll's fires go: the
@@ -210,23 +186,18 @@ type Runtime struct {
 	// WithTrace).
 	lagHist   *hdr.Histogram // firing lag: deadline -> delivery, ns
 	durHist   *hdr.Histogram // callback duration, ns
-	waitHist  *hdr.Histogram // async dispatch queue wait, ns
 	batchHist *hdr.Histogram // expiries fired per poll
 	lastTick  atomic.Int64
 	lastWall  atomic.Int64 // unix ns at the most recent advance
 	granNS    int64
 	trace     *traceRing
 
-	// Health counters. The atomics are written outside rt.mu (callbacks,
-	// pool workers); lastAnomaly is guarded by rt.mu. Delivered, shed,
-	// and retried expiries are counted per priority class.
+	// Health counters. The atomics are written outside rt.mu (on the
+	// delivering goroutine); lastAnomaly is guarded by rt.mu.
 	panics      atomic.Uint64
 	slow        atomic.Uint64
-	deliveredC  [numPriorities]atomic.Uint64
-	shedC       [numPriorities]atomic.Uint64
-	retriedC    [numPriorities]atomic.Uint64
+	delivered   atomic.Uint64
 	abandoned   atomic.Uint64
-	dispatched  atomic.Uint64
 	behind      atomic.Int64
 	anomalies   atomic.Uint64
 	lastAnomaly Anomaly
@@ -242,48 +213,37 @@ type Runtime struct {
 // Timer may be re-armed with Reset.
 type Timer struct {
 	// ent is the timer's scheme entry, re-armed in place for every
-	// lifecycle of this object; its ID is the timer's ID. Mutated only
-	// under rt.mu.
+	// lifecycle of this object; its ID is the timer's ID and its When
+	// the timer's deadline tick. Mutated only under rt.mu.
 	ent core.Entry
 	rt  *Runtime
 	fn  func()
 	ch  chan time.Time // After-style delivery; nil for fn timers
-	// deadline is the tick at which the timer fires.
-	deadline Tick
-	// enqNS stamps the wall time an expired callback entered the async
-	// dispatch queue, so the worker that runs it can record the queue
-	// wait. Written on the driver, read on the worker; the pool's own
-	// synchronization orders the two.
-	enqNS int64
 	// tag is the caller identity WithTag attached (0 = untagged); the
 	// key the Journal correlates transitions by. Written at schedule
-	// time like prio.
+	// time.
 	tag uint64
-	// free links recycled Timers on the runtime's free list.
-	free *Timer
-	// lc is the ingress lifecycle word (see ingress.go): the low two
-	// bits hold the state (Stop's commit point is a CAS on it), the
-	// rest count incarnations so staged intents that outlive a recycle
-	// are recognized as stale. Packing both into one word makes every
-	// state transition also witness the incarnation it applies to.
-	// Stays zero on synchronous runtimes.
-	lc atomic.Uint32
-	// prio is the timer's overload class (see WithPriority); retries
-	// counts shed-retry re-arms consumed (see WithShedRetry). Both are
-	// written at schedule time and read only on the driver goroutine.
-	prio    Priority
-	retries uint8
 }
 
 // expiry is a Timer seen as its entry's Expirer: a conversion of *Timer,
 // so the entry holds the Timer itself without a public method on it.
 type expiry Timer
 
+// firing is one expired timer collected under rt.mu, with the ID and
+// deadline of the lifecycle that fired: delivery runs unlocked, and a
+// Reset on another goroutine may meanwhile re-arm the Timer under a new
+// ID and deadline.
+type firing struct {
+	t    *Timer
+	id   ID
+	when Tick
+}
+
 // Expire runs inside fac.Tick under rt.mu: defer execution until the
 // poll has unlocked.
-func (x *expiry) Expire(core.ID) {
+func (x *expiry) Expire(id core.ID) {
 	t := (*Timer)(x)
-	t.rt.fired = append(t.rt.fired, t)
+	t.rt.fired = append(t.rt.fired, firing{t: t, id: id, when: t.ent.When})
 }
 
 // NewRuntime starts a runtime. Close it when done to release the ticking
@@ -327,7 +287,6 @@ func NewRuntime(opts ...RuntimeOption) *Runtime {
 		maxCatchUp:   cfg.maxCatchUp,
 		lagHist:      hdr.New(),
 		durHist:      hdr.New(),
-		waitHist:     hdr.New(),
 		batchHist:    hdr.New(),
 		granNS:       cfg.granularity.Nanoseconds(),
 		journal:      cfg.journal,
@@ -337,26 +296,9 @@ func NewRuntime(opts ...RuntimeOption) *Runtime {
 		rt.trace = newTraceRing(cfg.traceCap, cfg.traceSink)
 	}
 	rt.ops = core.EntriesOf(cfg.scheme)
-	if cfg.asyncWorkers > 0 {
-		rt.pool = dispatch.NewClass(cfg.asyncWorkers, cfg.asyncQueue, rt.runAsync)
-	}
-	if cfg.ingressDepth > 0 {
-		// Ingress exists to take the lock off the hot path; the closure
-		// adapter's allocations and handle map would put it back.
-		if _, ok := cfg.scheme.(core.EntryScheme); !ok {
-			panic("timer: WithIngress requires an entry scheme " +
-				"(hashed, hierarchical, or hybrid wheels, or the grouped queue); " + rt.fac.Name() + " is not one")
-		}
-		rt.ing = newIngressState(cfg.ingressDepth)
-	}
 	boot := rt.now()
 	rt.wall = iclock.NewWall(boot, cfg.granularity)
 	rt.lastWall.Store(boot.UnixNano())
-	rt.retryBudget = cfg.retryBudget
-	rt.shedHandler = cfg.shedHandler
-	if cfg.retryBudget > 0 {
-		rt.retryBackoff = Tick(rt.wall.TicksFor(cfg.retryBackoff))
-	}
 	rt.guard = iclock.NewGuard(rt.wall)
 	switch {
 	case cfg.manual:
@@ -375,44 +317,60 @@ func NewRuntime(opts ...RuntimeOption) *Runtime {
 // Granularity reports the runtime's tick length.
 func (rt *Runtime) Granularity() time.Duration { return rt.wall.Granularity() }
 
-// newTimer allocates a Timer whose entry fires it.
-func (rt *Runtime) newTimer() *Timer {
-	t := &Timer{rt: rt}
-	t.ent.SetExpirer((*expiry)(t))
+// slabSize is how many Timers one allocation carves when the free list
+// runs dry: as many as fit in 8 KiB, one of the allocator's size
+// classes, so a slab of 73 112-byte Timers wastes 16 bytes where 64
+// (7 KiB) would round up to the same 8 KiB and waste 1 KiB. A slab is
+// one object for the collector to track instead of slabSize. The free
+// list keeps every Timer for the runtime's lifetime anyway, so a slab
+// pinned by one live Timer wastes nothing that recycling would have
+// returned.
+const slabSize = 8 << 10 / int(unsafe.Sizeof(Timer{}))
+
+// popTimerLocked pops a recycled Timer, carving a fresh slab onto the
+// free list when it is empty. Caller holds freeMu.
+func (rt *Runtime) popTimerLocked() *Timer {
+	n := len(rt.free)
+	if n == 0 {
+		slab := make([]Timer, slabSize)
+		// Pushed in reverse so the slab is handed out front to back.
+		for i := len(slab) - 1; i >= 0; i-- {
+			t := &slab[i]
+			t.rt = rt
+			t.ent.SetExpirer((*expiry)(t))
+			rt.free = append(rt.free, t)
+		}
+		n = len(rt.free)
+	}
+	t := rt.free[n-1]
+	rt.free[n-1] = nil
+	rt.free = rt.free[:n-1]
 	return t
 }
 
-// acquireTimer pops a recycled Timer or allocates a fresh one. Called
-// without rt.mu held, so the (rare) allocation happens outside the lock.
+// acquireTimer pops a recycled Timer, or carves a slab. Called without
+// rt.mu held, so the (rare) allocation happens outside the lock.
 func (rt *Runtime) acquireTimer() *Timer {
 	rt.freeMu.Lock()
-	t := rt.freeTimers
-	if t != nil {
-		rt.freeTimers = t.free
-		t.free = nil
-	}
+	t := rt.popTimerLocked()
 	rt.freeMu.Unlock()
-	if t == nil {
-		t = rt.newTimer()
-	}
 	return t
 }
 
 // recycleTimer parks a Timer on the free list. Only fn/ch are cleared
-// here: the entry and deadline are mutated exclusively under rt.mu (by
-// the next schedule), and the entry stays stopped or fired until then.
+// here: the entry is mutated exclusively under rt.mu (by the next
+// schedule), and stays stopped or fired until then.
 func (rt *Runtime) recycleTimer(t *Timer) {
 	t.fn = nil
 	t.ch = nil
 	rt.freeMu.Lock()
-	t.free = rt.freeTimers
-	rt.freeTimers = t
+	rt.free = append(rt.free, t)
 	rt.freeMu.Unlock()
 }
 
 // takeBuf pops a spare fired buffer (nil when none: the first append
 // allocates it, after which it cycles). Called with rt.mu held.
-func (rt *Runtime) takeBuf() []*Timer {
+func (rt *Runtime) takeBuf() []firing {
 	rt.freeMu.Lock()
 	defer rt.freeMu.Unlock()
 	if n := len(rt.bufs); n > 0 {
@@ -425,13 +383,11 @@ func (rt *Runtime) takeBuf() []*Timer {
 
 // putBuf returns a drained fired buffer to the pool, dropping its timer
 // references so recycled objects aren't pinned.
-func (rt *Runtime) putBuf(b []*Timer) {
+func (rt *Runtime) putBuf(b []firing) {
 	if b == nil {
 		return
 	}
-	for i := range b {
-		b[i] = nil
-	}
+	clear(b)
 	rt.freeMu.Lock()
 	rt.bufs = append(rt.bufs, b[:0])
 	rt.freeMu.Unlock()
@@ -463,13 +419,13 @@ func (rt *Runtime) putFires(b []Fire) {
 // deliverAll runs one poll's expired timers outside rt.mu, then hands
 // their journaled fires to the batcher in one call, and returns the
 // buffers to their pools. Poll and DrainFireNow's bursts share it.
-func (rt *Runtime) deliverAll(fired []*Timer) {
+func (rt *Runtime) deliverAll(fired []firing) {
 	var fires []Fire
 	if rt.batcher != nil && len(fired) > 0 {
 		fires = rt.takeFires()
 	}
-	for _, t := range fired {
-		fires = rt.deliver(t, fires)
+	for _, f := range fired {
+		fires = rt.deliver(f, fires)
 	}
 	if len(fires) > 0 {
 		rt.batcher.TimersFired(fires)
@@ -521,9 +477,6 @@ func (rt *Runtime) Poll() int {
 		rt.mu.Unlock()
 		return 0
 	}
-	// Apply staged admissions before advancing: an intent whose deadline
-	// lands on this very tick must be armed before the tick fires it.
-	rt.drainIngressLocked()
 	wallNow := rt.now()
 	target, back := rt.guard.Observe(wallNow)
 	if back > 0 {
@@ -556,8 +509,7 @@ func (rt *Runtime) Poll() int {
 
 	// Run expiry actions outside the lock so they can freely call
 	// AfterFunc / Stop without self-deadlock. deliver applies the
-	// recovery barrier, the slow-callback watchdog, and — when async
-	// dispatch is on — the bounded pool with shed-on-full semantics.
+	// recovery barrier and the slow-callback watchdog.
 	n := len(fired)
 	rt.deliverAll(fired)
 	rt.batchHist.Record(int64(n))
@@ -565,11 +517,10 @@ func (rt *Runtime) Poll() int {
 }
 
 // AfterFunc schedules fn to run once, d from now (rounded up to a whole
-// tick, minimum one tick). The returned Timer can be stopped. Options
-// (e.g. WithPriority) tune how the expiry behaves under overload. fn
-// may be nil only for a tagged, journal-only timer (see WithTag).
+// tick, minimum one tick). The returned Timer can be stopped. fn may be
+// nil only for a tagged, journal-only timer (see WithTag).
 func (rt *Runtime) AfterFunc(d time.Duration, fn func(), opts ...ScheduleOption) (*Timer, error) {
-	if fn == nil && !journalOnly(opts...) {
+	if fn == nil && tagOf(opts) == 0 {
 		return nil, ErrNilCallback
 	}
 	return rt.schedule(rt.wall.TicksFor(d), fn, nil, opts)
@@ -579,7 +530,7 @@ func (rt *Runtime) AfterFunc(d time.Duration, fn func(), opts ...ScheduleOption)
 // ticks (minimum one). fn may be nil only for a tagged, journal-only
 // timer (see WithTag).
 func (rt *Runtime) Schedule(ticks Tick, fn func(), opts ...ScheduleOption) (*Timer, error) {
-	if fn == nil && !journalOnly(opts...) {
+	if fn == nil && tagOf(opts) == 0 {
 		return nil, ErrNilCallback
 	}
 	if ticks < 1 {
@@ -624,8 +575,7 @@ func (rt *Runtime) armLocked(t *Timer, ticks Tick) error {
 	if err := rt.ops.StartEntry(&t.ent, ticks); err != nil {
 		return err
 	}
-	t.deadline = rt.fac.Now() + ticks
-	rt.traceRecord(TraceScheduled, t.ID(), t.prio, rt.fac.Now(), t.deadline, 0)
+	rt.traceRecord(TraceScheduled, t.ID(), rt.fac.Now(), t.ent.When, 0)
 	rt.journalArmed(t)
 	return nil
 }
@@ -641,33 +591,24 @@ func (rt *Runtime) rearmLocked(t *Timer, ticks Tick) (wasPending bool, err error
 	switch err := rt.ops.ResetEntry(&t.ent, ticks); err {
 	case nil:
 		wasPending = true
-		t.deadline = rt.fac.Now() + ticks
-		rt.traceRecord(TraceScheduled, t.ID(), t.prio, rt.fac.Now(), t.deadline, 0)
+		rt.traceRecord(TraceScheduled, t.ID(), rt.fac.Now(), t.ent.When, 0)
 		rt.journalArmed(t)
 	case core.ErrTimerNotPending:
 		if err := rt.armLocked(t, ticks); err != nil {
 			return false, err
 		}
-		rt.started.Add(1)
+		rt.started++
 	default:
 		return true, err
 	}
-	t.retries = 0 // a re-armed timer gets a fresh retry budget
 	return wasPending, nil
 }
 
 func (rt *Runtime) schedule(ticks int64, fn func(), ch chan time.Time, opts []ScheduleOption) (*Timer, error) {
-	if rt.ing != nil {
-		return rt.scheduleIngress(ticks, fn, ch, opts)
-	}
 	// Clock reads and the free-list pop stay outside rt.mu.
 	wallTicks := rt.wall.TicksAt(rt.now())
 	t := rt.acquireTimer()
-	t.fn, t.ch = fn, ch
-	t.prio, t.retries, t.tag = PriorityNormal, 0, 0
-	for _, o := range opts {
-		o.apply(t)
-	}
+	t.fn, t.ch, t.tag = fn, ch, tagOf(opts)
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.closed || rt.draining {
@@ -683,15 +624,14 @@ func (rt *Runtime) schedule(ticks int64, fn func(), ch chan time.Time, opts []Sc
 		rt.recycleTimer(t)
 		return nil, err
 	}
-	rt.started.Add(1)
-	rt.wakeFor(int64(t.deadline))
+	rt.started++
+	rt.wakeFor(int64(t.ent.When))
 	return t, nil
 }
 
 // After returns a channel that delivers the fire time once, d from now —
 // the time.After analogue. The send is performed inline on the driver
-// goroutine (it is non-blocking by construction), so it is never shed by
-// WithAsyncDispatch and a waiting receiver is never stranded.
+// goroutine; it is non-blocking by construction.
 func (rt *Runtime) After(d time.Duration, opts ...ScheduleOption) (<-chan time.Time, error) {
 	ch := make(chan time.Time, 1)
 	_, err := rt.schedule(rt.wall.TicksFor(d), nil, ch, opts)
@@ -708,17 +648,8 @@ func (rt *Runtime) After(d time.Duration, opts ...ScheduleOption) (<-chan time.T
 // already refer to a different, re-armed timer. Concurrent Stop calls on
 // a timer that has fired (or racing with its firing) remain safe; they
 // return false.
-//
-// On a WithIngress runtime, true means the cancellation was accepted:
-// it is guaranteed to be applied before the timer could fire unless
-// the expiry action had already run when Stop was called (the exact
-// outcome lands in Stats()/Health() at the next tick). The
-// must-not-touch-again contract is the same.
 func (t *Timer) Stop() bool {
 	rt := t.rt
-	if rt.ing != nil {
-		return rt.stopIngress(t)
-	}
 	rt.mu.Lock()
 	if rt.closed {
 		rt.mu.Unlock()
@@ -729,7 +660,7 @@ func (t *Timer) Stop() bool {
 		return false
 	}
 	rt.stopped++
-	rt.traceRecord(TraceStopped, t.ID(), t.prio, rt.fac.Now(), t.deadline, 0)
+	rt.traceRecord(TraceStopped, t.ID(), rt.fac.Now(), t.ent.When, 0)
 	rt.journalStopped(t)
 	rt.mu.Unlock()
 	// Truly cancelled: the entry is unlinked, so the Timer (entry and
@@ -738,8 +669,10 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
-// Deadline reports the tick at which the timer fires (or would have).
-func (t *Timer) Deadline() Tick { return t.deadline }
+// Deadline reports the tick at which the timer fires (or would have):
+// its entry's expiry tick, which every scheme sets to the arm's now plus
+// interval.
+func (t *Timer) Deadline() Tick { return t.ent.When }
 
 // ID reports the timer's never-reused facility identity — the key that
 // correlates its events in the flight recorder (WithTrace). A Reset of a
@@ -756,18 +689,8 @@ func (t *Timer) ID() ID { return t.ent.ID() }
 // A pending timer is reset in place on every scheme: it keeps its ID,
 // and Stats counts neither a stop nor a start. Re-arming a timer whose
 // action already ran starts a new lifecycle under a new ID.
-//
-// On a WithIngress runtime a Reset racing a committed Stop fails with
-// ErrStopPending (definitive: the stop wins, the timer is done), and
-// wasPending reports whether this incarnation had no committed stop —
-// it may be true for a timer whose action already ran, which a
-// synchronous Reset would report as false; the re-arm happens either
-// way, so the difference is only in the report.
 func (t *Timer) Reset(d time.Duration) (wasPending bool, err error) {
 	rt := t.rt
-	if rt.ing != nil {
-		return rt.resetIngress(t, d)
-	}
 	ticks := rt.wall.TicksFor(d)
 	wallTicks := rt.wall.TicksAt(rt.now())
 	rt.mu.Lock()
@@ -782,13 +705,10 @@ func (t *Timer) Reset(d time.Duration) (wasPending bool, err error) {
 	}
 	wasPending, err = rt.rearmLocked(t, Tick(rt.stretch(ticks, wallTicks)))
 	if err == nil {
-		rt.wakeFor(int64(t.deadline))
+		rt.wakeFor(int64(t.ent.When))
 	}
 	return wasPending, err
 }
-
-// Priority reports the timer's overload class.
-func (t *Timer) Priority() Priority { return t.prio }
 
 // Outstanding reports the number of pending timers. On a closed runtime
 // it reports zero: timers still in the facility at close were cancelled
@@ -800,50 +720,38 @@ func (rt *Runtime) Outstanding() int {
 	return rt.outstandingLocked()
 }
 
-// outstandingLocked counts pending timers: armed ones in the facility
-// plus — on a WithIngress runtime — schedule intents staged but not yet
-// applied (they are admitted, so the conservation ledger needs them;
-// a staged schedule whose stop is also staged stays counted until the
-// driver cancels the pair). Caller holds rt.mu.
+// outstandingLocked counts the timers armed in the facility. Caller
+// holds rt.mu.
 func (rt *Runtime) outstandingLocked() int {
 	if rt.closed {
 		return 0
 	}
-	n := rt.fac.Len()
-	if rt.ing != nil {
-		if s := rt.ing.staged.Load(); s > 0 {
-			n += int(s)
-		}
-	}
-	return n
+	return rt.fac.Len()
 }
 
 // Stats reports lifetime counters: timers started, expired, and stopped.
-// expired counts finished expiries — actions that actually ran (or, for
-// After, sends that were delivered) plus actions definitively shed under
-// overload (Health separates the two; expired = Delivered +
-// ShedExpiries). An action handed to the async pool but not yet
-// executed, or re-armed for a shed retry, is in neither bucket, so at
-// quiescence the invariant
+// expired counts delivered expiries — actions that actually ran (or,
+// for After, sends that were delivered), Health().Delivered — so the
+// invariant
 //
 //	started == expired + stopped + Outstanding() + AbandonedOnClose
 //
-// holds exactly (the last term is zero until Close/Drain).
+// holds exactly whenever no poll is mid-delivery (the last term is zero
+// until Close/Drain).
 func (rt *Runtime) Stats() (started, expired, stopped uint64) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.started.Load(), rt.deliveredTotal() + rt.shedTotal(), rt.stopped + rt.stoppedStaged.Load()
+	return rt.started, rt.delivered.Load(), rt.stopped
 }
 
 // Close shuts the runtime down: Drain with the zero-grace DrainCancelAll
 // policy. Pending timers never fire — they are counted in
 // Health().AbandonedOnClose — and subsequent scheduling calls fail with
-// ErrRuntimeClosed. Close blocks until the ticking goroutine exits and —
-// with WithAsyncDispatch — until every already-queued expiry action has
-// run; it is idempotent and safe to call concurrently (every call blocks
-// until the runtime is fully stopped, including a Drain already in
-// flight). Close must not be called from inside an expiry action: the
-// driver (or, async, the pool) would wait on itself.
+// ErrRuntimeClosed. Close blocks until the ticking goroutine exits; it
+// is idempotent and safe to call concurrently (every call blocks until
+// the runtime is fully stopped, including a Drain already in flight).
+// Close must not be called from inside an expiry action: the driver
+// would wait on itself.
 func (rt *Runtime) Close() error {
 	// Drain reports ErrRuntimeClosed/ErrDraining when another shutdown
 	// won the race; it has already waited for that shutdown to finish,

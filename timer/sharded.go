@@ -54,8 +54,7 @@ func (s *Sharded) pick() *Runtime {
 	return s.shards[i%uint64(len(s.shards))].rt
 }
 
-// AfterFunc schedules fn on some shard, d from now. Options (e.g.
-// WithPriority) tune how the expiry behaves under overload.
+// AfterFunc schedules fn on some shard, d from now.
 func (s *Sharded) AfterFunc(d time.Duration, fn func(), opts ...ScheduleOption) (*Timer, error) {
 	return s.pick().AfterFunc(d, fn, opts...)
 }
@@ -128,18 +127,10 @@ func (s *Sharded) Health() Health {
 func addHealth(h *Health, sh Health) {
 	h.PanicsRecovered += sh.PanicsRecovered
 	h.SlowCallbacks += sh.SlowCallbacks
-	h.ShedExpiries += sh.ShedExpiries
 	h.Delivered += sh.Delivered
-	h.Retried += sh.Retried
 	h.AbandonedOnClose += sh.AbandonedOnClose
-	h.Dispatched += sh.Dispatched
 	h.TicksBehind += sh.TicksBehind
 	h.Anomalies += sh.Anomalies
-	for c := range h.ByClass {
-		h.ByClass[c].Delivered += sh.ByClass[c].Delivered
-		h.ByClass[c].Shed += sh.ByClass[c].Shed
-		h.ByClass[c].Retried += sh.ByClass[c].Retried
-	}
 	if sh.LastAnomaly.Kind != AnomalyNone &&
 		(h.LastAnomaly.Kind == AnomalyNone || sh.LastAnomaly.Wall.After(h.LastAnomaly.Wall)) {
 		h.LastAnomaly = sh.LastAnomaly
@@ -149,7 +140,7 @@ func addHealth(h *Health, sh Health) {
 // ShardHealth returns each shard's own Health snapshot, indexed by shard.
 // Health() equals the field-wise sum of these (with LastAnomaly the most
 // recent across shards) — the per-shard view is what reveals a hot shard
-// whose shed or catch-up counters dominate an otherwise healthy sum.
+// whose delivery or catch-up counters dominate an otherwise healthy sum.
 func (s *Sharded) ShardHealth() []Health {
 	out := make([]Health, len(s.shards))
 	for i := range s.shards {
@@ -159,8 +150,7 @@ func (s *Sharded) ShardHealth() []Health {
 }
 
 // Close shuts every shard down. It is idempotent: every call blocks
-// until all shards (and their async dispatch pools, if any) have fully
-// stopped, and scheduling calls on any shard afterwards fail with
+// until all shards have fully stopped, and scheduling calls on any shard afterwards fail with
 // ErrRuntimeClosed.
 func (s *Sharded) Close() error {
 	for i := range s.shards {
@@ -171,7 +161,7 @@ func (s *Sharded) Close() error {
 
 // Drain gracefully shuts every shard down under the same policy,
 // concurrently — the ctx deadline bounds the whole drain, not each shard
-// in turn. The aggregate report sums each shard's Fired/Shed/Cancelled.
+// in turn. The aggregate report sums each shard's Fired/Cancelled.
 // The first shard error (ErrDraining/ErrRuntimeClosed from a concurrent
 // shutdown) is returned alongside whatever the other shards reported.
 func (s *Sharded) Drain(ctx context.Context, policy DrainPolicy) (DrainReport, error) {
@@ -190,7 +180,6 @@ func (s *Sharded) Drain(ctx context.Context, policy DrainPolicy) (DrainReport, e
 	var firstErr error
 	for i := range reports {
 		agg.Fired += reports[i].Fired
-		agg.Shed += reports[i].Shed
 		agg.Cancelled += reports[i].Cancelled
 		if errs[i] != nil && firstErr == nil {
 			firstErr = errs[i]

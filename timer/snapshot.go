@@ -38,7 +38,7 @@ type WheelStats struct {
 
 // Snapshot is the full typed observability view of one runtime (or,
 // merged, of a Sharded facility): lifetime counters, hardening health,
-// the four telemetry histograms, and the scheme's occupancy gauges.
+// the three telemetry histograms, and the scheme's occupancy gauges.
 // It is what telemetry.Handler exports and cmd/twtop renders.
 type Snapshot struct {
 	// Scheme is the facility's Name().
@@ -64,24 +64,10 @@ type Snapshot struct {
 	FiringLagNS HistogramSnapshot
 	// CallbackNS distributes expiry-action run time in nanoseconds.
 	CallbackNS HistogramSnapshot
-	// QueueWaitNS distributes async dispatch queue wait in nanoseconds
-	// (empty unless WithAsyncDispatch).
-	QueueWaitNS HistogramSnapshot
 	// TickBatch distributes expiries delivered per poll, including
 	// zero-expiry polls — its shape is the paper's per-tick burstiness
 	// argument measured live (most polls empty, tails bounded).
 	TickBatch HistogramSnapshot
-	// IngressDepth distributes the staging-ring depth observed at each
-	// drain, and IngressDrainBatch the intents applied per drain
-	// (schedule + stop + reset). Both are empty unless WithIngress:
-	// depth trending toward the ring capacity means producers are
-	// outpacing the driver and admissions are spilling onto the locked
-	// fallback path.
-	IngressDepth      HistogramSnapshot
-	IngressDrainBatch HistogramSnapshot
-	// IngressStaged is the point-in-time count of schedule intents
-	// staged but not yet applied (0 unless WithIngress).
-	IngressStaged int
 	// Wheel is the scheme-geometry gauge view.
 	Wheel WheelStats
 }
@@ -143,25 +129,17 @@ func (rt *Runtime) Snapshot() Snapshot {
 		Shards:      1,
 		Granularity: rt.wall.Granularity(),
 		Now:         rt.fac.Now(),
-		Started:     rt.started.Load(),
-		Stopped:     rt.stopped + rt.stoppedStaged.Load(),
+		Started:     rt.started,
+		Stopped:     rt.stopped,
 		Outstanding: rt.outstandingLocked(),
 		Wheel:       wheelStatsOf(rt.fac),
 	}
 	rt.mu.Unlock()
 	s.Health = h
-	s.Expired = h.Delivered + h.ShedExpiries
+	s.Expired = h.Delivered
 	s.FiringLagNS = rt.lagHist.Snapshot()
 	s.CallbackNS = rt.durHist.Snapshot()
-	s.QueueWaitNS = rt.waitHist.Snapshot()
 	s.TickBatch = rt.batchHist.Snapshot()
-	if rt.ing != nil {
-		s.IngressDepth = rt.ing.depthHist.Snapshot()
-		s.IngressDrainBatch = rt.ing.batchHist.Snapshot()
-		if n := rt.ing.staged.Load(); n > 0 {
-			s.IngressStaged = int(n)
-		}
-	}
 	return s
 }
 
@@ -189,11 +167,7 @@ func (s *Sharded) Snapshot() Snapshot {
 		addHealth(&out.Health, sh.Health)
 		out.FiringLagNS.Merge(sh.FiringLagNS)
 		out.CallbackNS.Merge(sh.CallbackNS)
-		out.QueueWaitNS.Merge(sh.QueueWaitNS)
 		out.TickBatch.Merge(sh.TickBatch)
-		out.IngressDepth.Merge(sh.IngressDepth)
-		out.IngressDrainBatch.Merge(sh.IngressDrainBatch)
-		out.IngressStaged += sh.IngressStaged
 		out.Wheel.Slots += sh.Wheel.Slots
 		out.Wheel.OccupiedSlots += sh.Wheel.OccupiedSlots
 		if sh.Wheel.MaxSlotDepth > out.Wheel.MaxSlotDepth {

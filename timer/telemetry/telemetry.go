@@ -123,26 +123,14 @@ func writeProm(w io.Writer, s timer.Snapshot, extra []Metric) error {
 	gauge("outstanding_timers", "Pending timers.", float64(s.Outstanding))
 
 	counter("started_total", "Timers scheduled.", s.Started)
-	counter("expired_total", "Timers that reached their deadline (delivered or shed).", s.Expired)
+	counter("expired_total", "Timers that reached their deadline and were delivered.", s.Expired)
 	counter("stopped_total", "Timers cancelled before expiry.", s.Stopped)
 	counter("delivered_total", "Expiry actions run to completion.", s.Health.Delivered)
-	counter("shed_total", "Expiry actions dropped under overload.", s.Health.ShedExpiries)
-	counter("retried_total", "Shed expiries re-armed for another attempt.", s.Health.Retried)
 	counter("panics_recovered_total", "Expiry actions that panicked and were contained.", s.Health.PanicsRecovered)
 	counter("slow_callbacks_total", "Expiry actions exceeding the callback budget.", s.Health.SlowCallbacks)
 	counter("abandoned_on_close_total", "Timers cancelled by Close/Drain.", s.Health.AbandonedOnClose)
-	counter("dispatched_total", "Expiry actions handed to the async pool.", s.Health.Dispatched)
 	counter("clock_anomalies_total", "Clock anomalies observed.", s.Health.Anomalies)
 	gauge("ticks_behind", "Wall ticks still to catch up after the last poll.", float64(s.Health.TicksBehind))
-
-	counterHeader("class_delivered_total", "Expiry actions run, by priority class.")
-	for c := range s.Health.ByClass {
-		b = appendClassLine(b, "class_delivered_total", c, s.Health.ByClass[c].Delivered)
-	}
-	counterHeader("class_shed_total", "Expiry actions dropped, by priority class.")
-	for c := range s.Health.ByClass {
-		b = appendClassLine(b, "class_shed_total", c, s.Health.ByClass[c].Shed)
-	}
 
 	gauge("wheel_slots", "Wheel slot count (summed across shards; 0 for list/tree schemes).", float64(s.Wheel.Slots))
 	gauge("wheel_occupied_slots", "Slots holding at least one timer.", float64(s.Wheel.OccupiedSlots))
@@ -159,18 +147,8 @@ func writeProm(w io.Writer, s timer.Snapshot, extra []Metric) error {
 		"Deadline-to-delivery lag.", s.FiringLagNS, 1e-9)
 	b = appendHistogram(b, "callback_duration_seconds",
 		"Expiry action run time.", s.CallbackNS, 1e-9)
-	b = appendHistogram(b, "dispatch_queue_wait_seconds",
-		"Async dispatch queue wait.", s.QueueWaitNS, 1e-9)
 	b = appendHistogram(b, "tick_batch_size",
 		"Expiries delivered per poll (including empty polls).", s.TickBatch, 1)
-	if s.IngressDepth.Count > 0 || s.IngressDrainBatch.Count > 0 || s.IngressStaged > 0 {
-		gauge("ingress_staged", "Schedule intents staged in the ingress ring, not yet applied.",
-			float64(s.IngressStaged))
-		b = appendHistogram(b, "ingress_depth",
-			"Staging-ring depth observed at each drain.", s.IngressDepth, 1)
-		b = appendHistogram(b, "ingress_drain_batch_size",
-			"Staged intents applied per drain.", s.IngressDrainBatch, 1)
-	}
 
 	for _, m := range extra {
 		if m.Hist != nil {
@@ -198,12 +176,6 @@ func writeProm(w io.Writer, s timer.Snapshot, extra []Metric) error {
 
 	_, err := w.Write(b)
 	return err
-}
-
-// appendClassLine emits one labelled per-class counter sample.
-func appendClassLine(b []byte, name string, class int, v uint64) []byte {
-	return fmt.Appendf(b, "timingwheels_%s{class=%q} %d\n",
-		name, timer.Priority(class).String(), v)
 }
 
 // appendHistogram emits one hdr snapshot as a Prometheus histogram:

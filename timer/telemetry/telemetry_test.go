@@ -13,13 +13,12 @@ import (
 	"timingwheels/timer"
 )
 
-// buildSnapshot runs a runtime through a representative life and
-// returns it for export: some fires, a stop, an async dispatch.
+// buildSource runs a runtime through a representative life and
+// returns it for export: some fires and a stop.
 func buildSource(t *testing.T) *timer.Runtime {
 	t.Helper()
 	rt := timer.NewRuntime(
 		timer.WithGranularity(time.Millisecond),
-		timer.WithAsyncDispatch(2, 64),
 		timer.WithTrace(64),
 	)
 	t.Cleanup(func() { rt.Close() })
@@ -126,10 +125,9 @@ func TestPromOutputParsesLineByLine(t *testing.T) {
 		"timingwheels_outstanding_timers",
 		"timingwheels_firing_lag_seconds",
 		"timingwheels_callback_duration_seconds",
-		"timingwheels_dispatch_queue_wait_seconds",
 		"timingwheels_tick_batch_size",
 		"timingwheels_wheel_slots",
-		"timingwheels_class_delivered_total",
+		"timingwheels_delivered_total",
 	} {
 		if _, ok := families[want]; !ok {
 			t.Errorf("family %s missing from exposition", want)

@@ -18,7 +18,7 @@ type Ticker struct {
 	rt     *Runtime
 	fn     func()
 	period time.Duration
-	opts   []ScheduleOption // applied to every firing (e.g. WithPriority)
+	opts   []ScheduleOption // applied to every firing (e.g. WithTag)
 
 	mu      sync.Mutex
 	pending *Timer
@@ -29,7 +29,7 @@ type Ticker struct {
 
 // Every schedules fn to run every period (rounded up to whole ticks; a
 // non-positive period is clamped to one tick). Stop the returned Ticker
-// to cease. Options (e.g. WithPriority) apply to every firing.
+// to cease. Options (e.g. WithTag) apply to every firing.
 func (rt *Runtime) Every(period time.Duration, fn func(), opts ...ScheduleOption) (*Ticker, error) {
 	if fn == nil {
 		return nil, ErrNilCallback

@@ -30,8 +30,7 @@ import (
 //
 // The driver records the tick it is parked until, and an admission
 // wakes it only when its deadline precedes that tick: a stream of
-// timers later than the next event costs no wakeups, until (with
-// WithIngress) it fills a quarter of the staging ring.
+// timers later than the next event costs no wakeups.
 func WithTickless() RuntimeOption {
 	return func(c *runtimeConfig) { c.tickless = true }
 }
@@ -62,13 +61,8 @@ func (rt *Runtime) ticklessLoop() {
 			rt.mu.Unlock()
 			return
 		}
-		// Awake until the new sleep is recorded: an ingress producer
-		// that stages after the drain below must poke, since the sleep
-		// it would otherwise be checked against is not computed yet.
+		// Awake until the new sleep is recorded.
 		rt.parkedUntil.Store(notParked)
-		// Staged admissions must be armed before the sleep is computed,
-		// or an intent with an earlier deadline would be slept through.
-		rt.drainIngressLocked()
 		now := rt.now()
 		wake := now
 		// Mid catch-up after a clock jump, re-poll immediately; the
@@ -114,10 +108,9 @@ func (rt *Runtime) ticklessLoop() {
 		case <-rt.wake:
 			// A timer with an earlier deadline was admitted while the
 			// driver slept; loop to re-arm the sleep against it. The
-			// admission is visible to the recompute above: a synchronous
-			// one armed it under rt.mu before poking, and a staged one
-			// pushed its intent before reading parkedUntil. The buffered
-			// channel coalesces a burst of pokes into one recompute.
+			// admission is visible to the recompute above: it armed the
+			// timer under rt.mu before poking. The buffered channel
+			// coalesces a burst of pokes into one recompute.
 		case <-wakeup.C():
 			rt.Poll()
 		}
@@ -136,22 +129,6 @@ func (rt *Runtime) wakeFor(deadline int64) {
 	case rt.wake <- struct{}{}:
 	default:
 	}
-}
-
-// wakeForStaged is wakeFor after staging intents on the ingress ring.
-// A ring past a quarter full also wakes the driver, whatever the
-// deadline: intents later than its sleep would otherwise pile up until
-// a producer finds the ring full and applies the whole backlog itself,
-// under the lock, instead of the driver draining it alongside. A boot
-// replay of 100k timers hours out is such a stream.
-func (rt *Runtime) wakeForStaged(deadline int64) {
-	if rt.wake == nil {
-		return
-	}
-	if ring := rt.ing.ring; ring.Len() >= ring.Cap()/4 {
-		deadline = math.MinInt64
-	}
-	rt.wakeFor(deadline)
 }
 
 // validateTickless panics unless the scheme can report its next event.

@@ -2,8 +2,6 @@ package timer
 
 import (
 	"math/rand"
-	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -380,8 +378,7 @@ func (c *recomputeCountingClock) waitParked(t *testing.T) int64 {
 // deadline, and fires on time.
 func TestTicklessWakeDiscipline(t *testing.T) {
 	for name, extra := range map[string][]RuntimeOption{
-		"sync":    nil,
-		"ingress": {WithIngress(0)},
+		"sync": nil,
 	} {
 		t.Run(name, func(t *testing.T) {
 			c := &recomputeCountingClock{Fake: clock.NewFake(time.Time{})}
@@ -480,8 +477,7 @@ func TestTicklessParkedRace(t *testing.T) {
 		slack = 250 * time.Millisecond
 	)
 	for name, extra := range map[string][]RuntimeOption{
-		"sync":    nil,
-		"ingress": {WithIngress(0)},
+		"sync": nil,
 	} {
 		t.Run(name, func(t *testing.T) {
 			rt := NewRuntime(append([]RuntimeOption{
@@ -593,156 +589,5 @@ func TestTicklessParkedRace(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// recomputeHookClock is a Fake whose Now runs a one-shot hook when the
-// tickless driver reads the time inside its sleep recompute — after it
-// has drained the staging ring, before it records where it parks.
-type recomputeHookClock struct {
-	*clock.Fake
-	hook atomic.Pointer[func()]
-}
-
-func (c *recomputeHookClock) Now() time.Time {
-	if c.hook.Load() != nil && calledFromRecompute() {
-		if h := c.hook.Swap(nil); h != nil {
-			(*h)()
-		}
-	}
-	return c.Fake.Now()
-}
-
-// calledFromRecompute reports whether the driver loop itself (not Poll
-// or a callback it runs) is reading the clock.
-func calledFromRecompute() bool {
-	pc := make([]uintptr, 6)
-	frames := runtime.CallersFrames(pc[:runtime.Callers(3, pc)])
-	for {
-		f, more := frames.Next()
-		switch {
-		case strings.HasSuffix(f.Function, ".(*Runtime).ticklessLoop"):
-			return true
-		case strings.Contains(f.Function, ".(*Runtime)."):
-			return false
-		}
-		if !more {
-			return false
-		}
-	}
-}
-
-// TestTicklessStageDuringRecomputeWakes pins the window the conditional
-// poke must cover on a WithIngress runtime: a producer stages an intent
-// after the driver's recompute drained the ring but before it records
-// its new sleep. The producer cannot compare against a sleep that does
-// not exist yet, so it must poke; if it compared against the previous
-// (already passed) sleep target instead, the driver would nap a minute
-// past the intent's 5 s deadline.
-func TestTicklessStageDuringRecomputeWakes(t *testing.T) {
-	c := &recomputeHookClock{Fake: clock.NewFake(time.Time{})}
-	rt := NewRuntime(
-		WithGranularity(time.Millisecond),
-		WithScheme(NewHierarchicalWheel([]int{256, 64, 64, 64, 64}, MigrateAlways)),
-		WithTickless(),
-		WithIngress(0),
-		WithClockSource(c),
-	)
-	defer rt.Close()
-	if _, err := rt.AfterFunc(time.Hour, func() {}); err != nil {
-		t.Fatal(err)
-	}
-	staged := make(chan struct{})
-	fired := make(chan struct{})
-	stage := func() {
-		// Another goroutine stages while the driver holds the window.
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			if _, err := rt.AfterFunc(5*time.Second, func() { close(fired) }); err != nil {
-				t.Error(err)
-			}
-		}()
-		<-done
-		close(staged)
-	}
-	// The near timer's callback arms the hook, so it runs in the
-	// recompute that follows this expiry, with only the hour-out timer
-	// left to sleep for.
-	if _, err := rt.AfterFunc(time.Second, func() { c.hook.Store(&stage) }); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for hooked := false; !hooked; {
-		select {
-		case <-staged:
-			hooked = true
-		default:
-			if time.Now().After(deadline) {
-				t.Fatal("hooked recompute never ran")
-			}
-			c.Advance(100 * time.Millisecond)
-			time.Sleep(time.Millisecond)
-		}
-	}
-	// Settle: the driver must have re-parked no later than the staged
-	// deadline (about 6 s in; without the poke it naps to about 61 s).
-	settle := time.Now().Add(5 * time.Second)
-	for rt.parkedUntil.Load() == notParked || len(rt.wake) > 0 || rt.parkedUntil.Load() > 7_000 {
-		if time.Now().After(settle) {
-			t.Fatalf("driver parked until tick %d, past the staged 5 s timer", rt.parkedUntil.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	c.Advance(6 * time.Second)
-	select {
-	case <-fired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("staged timer never fired")
-	}
-}
-
-// TestTicklessDeepRingWakesDriver: staged intents later than the
-// driver's sleep do not wake it one by one, but a ring a quarter full
-// does, so the driver drains the backlog alongside the producers
-// instead of one of them finding the ring full and applying it all
-// under the lock.
-func TestTicklessDeepRingWakesDriver(t *testing.T) {
-	c := &recomputeCountingClock{Fake: clock.NewFake(time.Time{})}
-	rt := NewRuntime(
-		WithGranularity(time.Millisecond),
-		WithScheme(NewHierarchicalWheel([]int{256, 64, 64, 64, 64}, MigrateAlways)),
-		WithTickless(),
-		WithIngress(64),
-		WithClockSource(c),
-	)
-	c.rt.Store(rt)
-	defer rt.Close()
-	if _, err := rt.AfterFunc(time.Hour, func() {}); err != nil {
-		t.Fatal(err)
-	}
-	c.waitParked(t)
-	polls := rt.Snapshot().TickBatch.Count
-	for i := 0; i < 15; i++ {
-		if _, err := rt.AfterFunc(2*time.Hour, func() {}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	time.Sleep(20 * time.Millisecond) // room for a (wrong) wakeup to drain
-	if n := rt.Snapshot().IngressStaged; n != 15 {
-		t.Fatalf("%d of 15 late intents staged, want all: the driver woke early", n)
-	}
-	if _, err := rt.AfterFunc(2*time.Hour, func() {}); err != nil { // the 16th: a quarter of 64
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for rt.Snapshot().IngressStaged != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("a quarter-full ring never woke the driver: %d staged", rt.Snapshot().IngressStaged)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if n := rt.Snapshot().TickBatch.Count; n != polls {
-		t.Fatalf("draining the ring cost %d polls, want a recompute only", n-polls)
 	}
 }

@@ -39,26 +39,19 @@
 //
 // The Runtime treats misbehaving callbacks and clock anomalies as
 // first-class inputs: expiry actions run under a recovery barrier
-// (WithPanicHandler), can be measured against a time budget
-// (WithCallbackBudget) and dispatched to a bounded worker pool with
-// explicit overload shedding (WithAsyncDispatch), and wall-clock jumps
-// and backward steps are detected and drained in bounded batches
-// (WithMaxCatchUp). Health reports the resulting counters; Sharded
-// aggregates them across shards (ShardHealth has the per-shard view).
+// (WithPanicHandler) and can be measured against a time budget
+// (WithCallbackBudget), and wall-clock jumps and backward steps are
+// detected and drained in bounded batches (WithMaxCatchUp). Health
+// reports the resulting counters; Sharded aggregates them across shards
+// (ShardHealth has the per-shard view).
 //
-// # Overload management
+// # Shutdown
 //
-// Under saturation the Runtime degrades by declared priority rather
-// than by luck. Each schedule call may carry WithPriority — BestEffort
-// work is shed first (most-overdue first), Normal next, and Critical
-// never: a Critical expiry the pool cannot admit runs inline on the
-// driver. Shed Normal-class actions can re-arm themselves through the
-// wheel with doubling backoff (WithShedRetry) before a definitive drop
-// is reported to WithShedHandler. Shutdown is Drain: admission stops
-// (ErrDraining), outstanding timers fire now, fire at their natural
-// deadlines within a grace window, or are cancelled (DrainPolicy), and
-// the DrainReport plus Health().AbandonedOnClose account for every
-// timer exactly. Close is Drain with zero grace.
+// Shutdown is Drain: admission stops (ErrDraining), outstanding timers
+// fire now, fire at their natural deadlines within a grace window, or
+// are cancelled (DrainPolicy), and the DrainReport plus
+// Health().AbandonedOnClose account for every timer exactly. Close is
+// Drain with zero grace.
 package timer
 
 import (

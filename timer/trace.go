@@ -24,10 +24,6 @@ const (
 	TraceFired
 	// TraceStopped records a successful cancellation.
 	TraceStopped
-	// TraceShed records a definitive overload drop (retries exhausted).
-	TraceShed
-	// TraceRetried records a shed expiry re-armed for another attempt.
-	TraceRetried
 	// TraceAnomaly records a clock anomaly; Lag is the magnitude in
 	// ticks and ID/Deadline are zero.
 	TraceAnomaly
@@ -45,10 +41,6 @@ func (k TraceKind) String() string {
 		return "fired"
 	case TraceStopped:
 		return "stopped"
-	case TraceShed:
-		return "shed"
-	case TraceRetried:
-		return "retried"
 	case TraceAnomaly:
 		return "anomaly"
 	case TracePanic:
@@ -59,10 +51,9 @@ func (k TraceKind) String() string {
 }
 
 // TraceEvent is one flight-recorder entry: enough causality to explain
-// a late fire or a shed after the fact — which timer (ID), what class
-// it was, when in virtual time it happened, and how far past its
-// deadline it was — without carrying the callback or any pointer that
-// would pin recycled objects.
+// a late fire after the fact — which timer (ID), when in virtual time it
+// happened, and how far past its deadline it was — without carrying the
+// callback or any pointer that would pin recycled objects.
 type TraceEvent struct {
 	// Seq is the event's global sequence number on its runtime: gaps
 	// in a dump mean the ring wrapped and older events were overwritten.
@@ -73,13 +64,11 @@ type TraceEvent struct {
 	// every event of one timer's life (meaningless for anomaly events,
 	// which concern the clock, not a timer).
 	ID ID
-	// Prio is the timer's overload class.
-	Prio Priority
 	// Tick is the facility's virtual time when the event was recorded.
 	Tick Tick
 	// Deadline is the timer's expiry tick at the time of the event.
 	Deadline Tick
-	// Lag is ticks past deadline for fired/shed events, the magnitude
+	// Lag is ticks past deadline for fired events, the magnitude
 	// for anomaly events, and zero otherwise.
 	Lag int64
 	// WallNS is the wall-clock Unix nanosecond of the runtime's most
@@ -96,8 +85,8 @@ type TraceEvent struct {
 // appendJSON renders the event as one JSON object (no trailing newline).
 func (ev TraceEvent) appendJSON(b []byte) []byte {
 	return fmt.Appendf(b,
-		`{"seq":%d,"kind":%q,"id":%d,"prio":%q,"tick":%d,"deadline":%d,"lag":%d,"wall_ns":%d}`,
-		ev.Seq, ev.Kind.String(), uint64(ev.ID), ev.Prio.String(),
+		`{"seq":%d,"kind":%q,"id":%d,"tick":%d,"deadline":%d,"lag":%d,"wall_ns":%d}`,
+		ev.Seq, ev.Kind.String(), uint64(ev.ID),
 		int64(ev.Tick), int64(ev.Deadline), ev.Lag, ev.WallNS)
 }
 
@@ -105,8 +94,8 @@ func (ev TraceEvent) appendJSON(b []byte) []byte {
 // recent lifecycle events. Recording is a mutex acquire plus one struct
 // store into the preallocated buffer — no allocation, so the zero-alloc
 // hot path holds with tracing enabled. The mutex (rather than a clever
-// lock-free ring) keeps records from the driver goroutine, pool
-// workers, and Stop callers race-free and totally ordered by Seq.
+// lock-free ring) keeps records from the driver goroutine
+// and Stop/Reset callers race-free and totally ordered by Seq.
 type traceRing struct {
 	mu   sync.Mutex
 	buf  []TraceEvent
@@ -181,11 +170,11 @@ func (r *traceRing) autoDump() {
 }
 
 // WithTrace arms the flight recorder: the runtime keeps the last n
-// lifecycle events (scheduled, fired, stopped, shed, retried, anomaly,
-// panic) in a fixed ring buffer, readable with TraceEvents and dumpable
-// as JSONL with DumpTrace. Recording allocates nothing, so the
-// zero-alloc scheduling path is preserved; the cost is one short
-// mutex-guarded store per lifecycle transition. n is clamped to >= 1.
+// lifecycle events (scheduled, fired, stopped, anomaly, panic) in a
+// fixed ring buffer, readable with TraceEvents and dumpable as JSONL
+// with DumpTrace. Recording allocates nothing, so the zero-alloc
+// scheduling path is preserved; the cost is one short mutex-guarded
+// store per lifecycle transition. n is clamped to >= 1.
 func WithTrace(n int) RuntimeOption {
 	return func(c *runtimeConfig) { c.traceCap = n }
 }
@@ -194,7 +183,7 @@ func WithTrace(n int) RuntimeOption {
 // the flight recorder whenever the runtime observes a clock anomaly or
 // contains a callback panic — the moments a post-hoc trace is worth
 // having. Requires WithTrace. The sink is called from the goroutine
-// that observed the event (driver or pool worker) and must not call
+// that observed the event (the driver, or the Drain caller) and must not call
 // back into the runtime; write errors and panics are swallowed.
 func WithTraceSink(w io.Writer) RuntimeOption {
 	return func(c *runtimeConfig) { c.traceSink = w }
@@ -204,11 +193,11 @@ func WithTraceSink(w io.Writer) RuntimeOption {
 // is the only cost on untraced runtimes; traced runtimes additionally
 // sample the wall clock (one time.Now-equivalent read, no allocation)
 // so dumps can be correlated across processes.
-func (rt *Runtime) traceRecord(kind TraceKind, id ID, prio Priority, tick, deadline Tick, lag int64) {
+func (rt *Runtime) traceRecord(kind TraceKind, id ID, tick, deadline Tick, lag int64) {
 	if rt.trace == nil {
 		return
 	}
-	rt.trace.record(TraceEvent{Kind: kind, ID: id, Prio: prio, Tick: tick,
+	rt.trace.record(TraceEvent{Kind: kind, ID: id, Tick: tick,
 		Deadline: deadline, Lag: lag, WallNS: rt.lastWall.Load()})
 }
 
@@ -223,8 +212,8 @@ func (rt *Runtime) TraceEvents() []TraceEvent {
 }
 
 // DumpTrace writes the flight recorder as JSON Lines — one event
-// object per line, oldest first — for offline correlation (a shed or a
-// late fire traced back through its schedule/retry history by ID). It
+// object per line, oldest first — for offline correlation (a late fire
+// traced back through its schedule and reset history by ID). It
 // reports ErrTraceDisabled when WithTrace is not configured.
 func (rt *Runtime) DumpTrace(w io.Writer) error {
 	if rt.trace == nil {

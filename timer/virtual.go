@@ -106,8 +106,6 @@ func (vd *VirtualDriver) nextWake() (time.Time, bool) {
 	if rt.closed {
 		return time.Time{}, false
 	}
-	// Staged admissions carry deadlines too; arm them before asking.
-	rt.drainIngressLocked()
 	if rt.fac.Len() == 0 {
 		return time.Time{}, false
 	}
