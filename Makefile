@@ -34,10 +34,10 @@ check:
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run Drain -race -short ./timer/ ./internal/schemetest/
+	$(GO) test -run 'Drain|Overload' -race -short ./timer/ ./internal/schemetest/
 	$(GO) test -run=TestE2ECrashRecovery -count=1 -v ./cmd/twd/
 	$(GO) test -race -run=TestE2EFailover -count=1 -v ./cmd/twd/
-	$(GO) test -run=xxx -fuzz=FuzzBatchLocked -fuzztime=30s ./timer/
+	$(GO) test -run=xxx -fuzz=FuzzBatchIngress -fuzztime=30s ./timer/
 	$(GO) test -run=xxx -fuzz=FuzzModelMixedOps -fuzztime=30s ./internal/schemetest/
 	$(GO) test -run=xxx -fuzz=FuzzModelResetStorm -fuzztime=30s ./internal/schemetest/
 	$(GO) test -run=xxx -fuzz=FuzzWALReplay -fuzztime=30s ./internal/wal/
@@ -103,7 +103,7 @@ fuzz:
 	$(GO) test -run=xxx -fuzz=FuzzHybridConformance -fuzztime=30s ./internal/schemetest/
 	$(GO) test -run=xxx -fuzz=FuzzModelMixedOps -fuzztime=30s ./internal/schemetest/
 	$(GO) test -run=xxx -fuzz=FuzzModelResetStorm -fuzztime=30s ./internal/schemetest/
-	$(GO) test -run=xxx -fuzz=FuzzBatchLocked -fuzztime=30s ./timer/
+	$(GO) test -run=xxx -fuzz=FuzzBatchIngress -fuzztime=30s ./timer/
 
 fmt:
 	gofmt -w .

@@ -218,7 +218,8 @@ func (s *runtimeSubject) Close() { s.rt.Close() }
 
 // modelSubjects is every implementation the differential checker runs:
 // all raw schemes plus the Runtime's per-op and batch admission, over
-// the default wheel, the grouped sorting queue and the closure adapter.
+// the default wheel, the grouped sorting queue and the closure adapter,
+// with and without the no-op WithIngress option.
 func modelSubjects() map[string]func() Subject {
 	subs := make(map[string]func() Subject)
 	for name, factory := range factories() {
@@ -226,6 +227,16 @@ func modelSubjects() map[string]func() Subject {
 	}
 	subs["runtime-sync"] = newRuntimeSubject("runtime-sync", false, true)
 	subs["runtime-sync-batch"] = newRuntimeSubject("runtime-sync-batch", true, false)
+	// WithIngress is a no-op kept for old callers: runtimes built with it,
+	// at the default and a tiny depth, must stay exact and conformant.
+	subs["runtime-ingress"] = newRuntimeSubject("runtime-ingress", false, true,
+		timer.WithIngress(0))
+	subs["runtime-ingress-batch"] = newRuntimeSubject("runtime-ingress-batch", true, false,
+		timer.WithIngress(0))
+	subs["runtime-ingress-tiny"] = newRuntimeSubject("runtime-ingress-tiny", false, true,
+		timer.WithIngress(2))
+	subs["runtime-ingress-tiny-batch"] = newRuntimeSubject("runtime-ingress-tiny-batch", true, false,
+		timer.WithIngress(2))
 	// The runtime over the grouped sorting queue resets in place under a
 	// second placement rule, per op and batched; over an ordered list it
 	// goes through the closure adapter Schemes 1-4 and the trees use.
@@ -234,6 +245,9 @@ func modelSubjects() map[string]func() Subject {
 	subs["runtime-sync-gsq"] = newRuntimeSubject("runtime-sync-gsq", false, true,
 		timer.WithSchemeFactory(func() timer.Scheme { return timer.NewGroupedQueue(32, 8) }))
 	subs["runtime-batch-gsq"] = newRuntimeSubject("runtime-batch-gsq", true, false,
+		timer.WithSchemeFactory(func() timer.Scheme { return timer.NewGroupedQueue(32, 8) }))
+	subs["runtime-ingress-gsq"] = newRuntimeSubject("runtime-ingress-gsq", false, true,
+		timer.WithIngress(0),
 		timer.WithSchemeFactory(func() timer.Scheme { return timer.NewGroupedQueue(32, 8) }))
 	return subs
 }
@@ -270,7 +284,7 @@ func TestModelResetStorm(t *testing.T) {
 	subs := modelSubjects()
 	for _, name := range []string{
 		"gsq", "gsq-w1", "gsq-band1", "scheme6", "scheme7", "hybrid",
-		"runtime-sync-gsq", "runtime-batch-gsq", "runtime-sync-batch",
+		"runtime-sync-gsq", "runtime-ingress-gsq", "runtime-ingress-batch", "runtime-batch-gsq",
 	} {
 		name, mk := name, subs[name]
 		t.Run(name, func(t *testing.T) {

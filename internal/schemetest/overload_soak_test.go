@@ -10,14 +10,14 @@ import (
 	"timingwheels/timer"
 )
 
-// TestDrainSoakUnderChaos runs bursty schedule/stop traffic over each
+// TestOverloadSoakUnderChaos runs bursty schedule/stop traffic over each
 // production-candidate scheme while the chaos clock injects forward
 // jumps, a stall/resume cycle, a backward step, and one leap past the
 // catch-up budget, then shuts down with Drain(DrainFireNow). Every
 // timer must be accounted exactly: what was scheduled and not stopped
 // ran exactly once, the drain cancelled nothing, and the
 // started/delivered/stopped/abandoned ledger balances.
-func TestDrainSoakUnderChaos(t *testing.T) {
+func TestOverloadSoakUnderChaos(t *testing.T) {
 	rounds := 200
 	if testing.Short() {
 		rounds = 60

@@ -10,6 +10,10 @@ package schemetest
 //     idiom: the report is history, the re-arm is unconditional).
 //   - ResetBatch counts accepted re-arms exactly, pending and fired
 //     timers alike.
+//
+// WithIngress once staged admissions in a ring and relaxed the report
+// to an advisory one; it is a no-op now, and a runtime built with it is
+// held to the same exact contract.
 
 import (
 	"errors"
@@ -54,46 +58,89 @@ func newContractRuntime(t *testing.T, opts ...timer.RuntimeOption) (*timer.Runti
 func TestResetContractSyncExact(t *testing.T) {
 	for name, opts := range contractSchemes() {
 		t.Run(name, func(t *testing.T) {
+			checkResetContractExact(t, opts...)
+		})
+	}
+}
+
+// TestResetContractIngressAdvisory: the advisory report WithIngress
+// once allowed (wasPending=true for a timer whose action already ran)
+// is gone with the staging ring. A runtime built with the option
+// reports exactly, re-arms exactly as the synchronous runtime does, and
+// a Stop still wins over the deadline it cancelled.
+func TestResetContractIngressAdvisory(t *testing.T) {
+	for name, opts := range contractSchemes() {
+		t.Run(name, func(t *testing.T) {
+			opts := append([]timer.RuntimeOption{timer.WithIngress(0)}, opts...)
+			checkResetContractExact(t, opts...)
+
 			rt, step := newContractRuntime(t, opts...)
 			defer rt.Close()
-
 			fired := 0
 			tm, err := rt.AfterFunc(5*time.Millisecond, func() { fired++ })
 			if err != nil {
 				t.Fatalf("AfterFunc: %v", err)
 			}
-
-			// Pending timer: exact wasPending=true, fires at the NEW deadline.
 			if wasPending, err := tm.Reset(3 * time.Millisecond); err != nil || !wasPending {
-				t.Fatalf("Reset(pending) = (%v, %v), want (true, nil)", wasPending, err)
+				t.Fatalf("Reset before any poll = (%v, %v), want (true, nil)", wasPending, err)
 			}
-			step(3)
-			if fired != 1 {
-				t.Fatalf("fired=%d after reset deadline, want 1", fired)
+			if !tm.Stop() {
+				t.Fatal("Stop of a re-armed timer reported false")
 			}
-
-			// Fired timer: exact wasPending=false — and the re-arm still
-			// happens (the documented unconditional re-arm).
-			if wasPending, err := tm.Reset(2 * time.Millisecond); err != nil || wasPending {
-				t.Fatalf("Reset(fired) = (%v, %v), want (false, nil)", wasPending, err)
-			}
-			step(2)
-			if fired != 2 {
-				t.Fatalf("fired=%d after re-arm of fired timer, want 2", fired)
-			}
-
-			rt.Close()
-			if _, err := tm.Reset(time.Millisecond); !errors.Is(err, timer.ErrRuntimeClosed) {
-				t.Fatalf("Reset after Close: err=%v, want ErrRuntimeClosed", err)
+			step(10)
+			if fired != 0 {
+				t.Fatalf("fired=%d, want 0 (the stop must win)", fired)
 			}
 		})
 	}
 }
 
-func TestResetBatchCountExact(t *testing.T) {
+// checkResetContractExact runs the exact Reset contract on a runtime
+// built with opts: pending and fired timers alike, then Close.
+func checkResetContractExact(t *testing.T, opts ...timer.RuntimeOption) {
+	t.Helper()
+	rt, step := newContractRuntime(t, opts...)
+	defer rt.Close()
+
+	fired := 0
+	tm, err := rt.AfterFunc(5*time.Millisecond, func() { fired++ })
+	if err != nil {
+		t.Fatalf("AfterFunc: %v", err)
+	}
+
+	// Pending timer: exact wasPending=true, fires at the NEW deadline.
+	if wasPending, err := tm.Reset(3 * time.Millisecond); err != nil || !wasPending {
+		t.Fatalf("Reset(pending) = (%v, %v), want (true, nil)", wasPending, err)
+	}
+	step(3)
+	if fired != 1 {
+		t.Fatalf("fired=%d after reset deadline, want 1", fired)
+	}
+
+	// Fired timer: exact wasPending=false — and the re-arm still
+	// happens (the documented unconditional re-arm).
+	if wasPending, err := tm.Reset(2 * time.Millisecond); err != nil || wasPending {
+		t.Fatalf("Reset(fired) = (%v, %v), want (false, nil)", wasPending, err)
+	}
+	step(2)
+	if fired != 2 {
+		t.Fatalf("fired=%d after re-arm of fired timer, want 2", fired)
+	}
+
+	rt.Close()
+	if _, err := tm.Reset(time.Millisecond); !errors.Is(err, timer.ErrRuntimeClosed) {
+		t.Fatalf("Reset after Close: err=%v, want ErrRuntimeClosed", err)
+	}
+}
+
+// TestResetBatchCountExactUnderStaging runs ResetBatch on a runtime
+// built with WithIngress, where the admissions once sat staged in the
+// ring when the batch arrived: the counts must be exact.
+func TestResetBatchCountExactUnderStaging(t *testing.T) {
 	for name, opts := range contractSchemes() {
 		t.Run(name, func(t *testing.T) {
-			rt, step := newContractRuntime(t, opts...)
+			rt, step := newContractRuntime(t,
+				append([]timer.RuntimeOption{timer.WithIngress(0)}, opts...)...)
 			defer rt.Close()
 
 			const k = 5

@@ -5,9 +5,10 @@ import (
 	"time"
 )
 
-// FuzzBatchLocked decodes fuzzer bytes into an arbitrary interleaving
+// FuzzBatchIngress decodes fuzzer bytes into an arbitrary interleaving
 // of single and batched schedule/stop/reset operations on a manual
-// runtime and checks, after every operation: no panic, the
+// runtime built with the (no-op) WithIngress option, as svcbench's
+// replay builds its runtime, and checks, after every operation: no panic, the
 // conservation ledger
 //
 //	started == expired + stopped + outstanding + abandoned
@@ -15,7 +16,7 @@ import (
 // and the batch APIs' exact counts — StopBatch reports exactly the
 // cancellations Stats counts, and ResetBatch accepts every re-arm of a
 // timer the caller still holds.
-func FuzzBatchLocked(f *testing.F) {
+func FuzzBatchIngress(f *testing.F) {
 	f.Add([]byte{0, 5, 6, 0, 2, 9, 3, 0, 6, 0})
 	f.Add([]byte{2, 255, 4, 3, 5, 0, 6, 0, 6, 0, 6, 0})
 	f.Add([]byte{0, 1, 0, 1, 3, 1, 5, 0, 2, 17, 6, 9, 4, 255})
@@ -29,6 +30,7 @@ func FuzzBatchLocked(f *testing.F) {
 			WithGranularity(time.Millisecond),
 			WithNowFunc(fc.Now),
 			WithManualDriver(),
+			WithIngress(0),
 		)
 		defer rt.Close()
 

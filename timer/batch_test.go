@@ -1,10 +1,7 @@
 package timer
 
 import (
-	"context"
-	"math/rand"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -51,71 +48,6 @@ func TestScheduleBatchSync(t *testing.T) {
 	started, _, stopped := rt.Stats()
 	if started != 9 || stopped != 4 {
 		t.Fatalf("started=%d stopped=%d, want 9/4", started, stopped)
-	}
-	checkConservation(t, rt)
-}
-
-// TestScheduleBatchStopBatchExact schedules a batch, stops half of it
-// in one StopBatch, and checks every count is exact: StopBatch's
-// result, the fires, and the ledger.
-func TestScheduleBatchStopBatchExact(t *testing.T) {
-	rt, fc := newManualRuntime(t)
-	var fired atomic.Int64
-	reqs := make([]Req, 64)
-	for i := range reqs {
-		reqs[i] = Req{After: 30 * time.Millisecond, Fn: func() { fired.Add(1) }, Opt: WithTag(uint64(i + 1))}
-	}
-	timers, err := rt.ScheduleBatch(reqs)
-	if err != nil {
-		t.Fatalf("ScheduleBatch: %v", err)
-	}
-	if got := rt.StopBatch(timers[:32]); got != 32 {
-		t.Fatalf("StopBatch=%d, want 32", got)
-	}
-	// A second stop of the same timers cancels nothing.
-	if got := rt.StopBatch(timers[32:33]); got != 1 {
-		t.Fatalf("StopBatch of one armed timer=%d, want 1", got)
-	}
-	fc.Advance(30 * time.Millisecond)
-	rt.Poll()
-	if fired.Load() != 31 {
-		t.Fatalf("fired=%d, want 31", fired.Load())
-	}
-	if got := rt.StopBatch(timers[40:48]); got != 0 {
-		t.Fatalf("StopBatch of fired timers=%d, want 0", got)
-	}
-	started, _, stopped := rt.Stats()
-	if started != 64 || stopped != 33 {
-		t.Fatalf("started=%d stopped=%d, want 64/33", started, stopped)
-	}
-	checkConservation(t, rt)
-}
-
-// TestScheduleBatchSpansSlabs schedules a batch larger than a slab, so
-// its Timers come from several fresh slabs and the free list, and
-// checks each is a distinct, working timer.
-func TestScheduleBatchSpansSlabs(t *testing.T) {
-	rt, fc := newManualRuntime(t)
-	fired := 0
-	reqs := make([]Req, 3*slabSize+5)
-	for i := range reqs {
-		reqs[i] = Req{After: 10 * time.Millisecond, Fn: func() { fired++ }}
-	}
-	timers, err := rt.ScheduleBatch(reqs)
-	if err != nil {
-		t.Fatalf("ScheduleBatch: %v", err)
-	}
-	seen := make(map[*Timer]bool, len(timers))
-	for _, tm := range timers {
-		if tm == nil || seen[tm] {
-			t.Fatalf("batch slot holds %p: nil or handed out twice", tm)
-		}
-		seen[tm] = true
-	}
-	fc.Advance(10 * time.Millisecond)
-	rt.Poll()
-	if fired != len(reqs) {
-		t.Fatalf("fired=%d, want %d", fired, len(reqs))
 	}
 	checkConservation(t, rt)
 }
@@ -225,79 +157,4 @@ func minMallocs(f func()) uint64 {
 		least = min(least, mallocs(f))
 	}
 	return least
-}
-
-// TestBatchHammerDuringShutdown has producer goroutines schedule and
-// stop batches against the real driver, then shuts the runtime down
-// mid-batch. Run under -race it checks the batch paths against the
-// driver and Drain; the assertions check the conservation ledger.
-func TestBatchHammerDuringShutdown(t *testing.T) {
-	for _, mode := range []string{"drain", "close"} {
-		t.Run(mode, func(t *testing.T) {
-			rt := NewRuntime(WithGranularity(time.Millisecond))
-			const producers = 4
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			for p := 0; p < producers; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(p)))
-					var noop = func() {}
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						reqs := make([]Req, 16)
-						for i := range reqs {
-							reqs[i] = Req{
-								After: time.Duration(1+rng.Intn(20)) * time.Millisecond,
-								Fn:    noop,
-							}
-						}
-						timers, err := rt.ScheduleBatch(reqs)
-						if err != nil {
-							return // draining/closed: hammer over
-						}
-						// Stop a random half, single and batched.
-						if rng.Intn(2) == 0 {
-							rt.StopBatch(timers[:8])
-						} else {
-							for _, tm := range timers[:8] {
-								if tm != nil {
-									tm.Stop()
-								}
-							}
-						}
-					}
-				}(p)
-			}
-			time.Sleep(50 * time.Millisecond)
-			// Shut down while producers are mid-batch.
-			switch mode {
-			case "drain":
-				ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-				if _, err := rt.Drain(ctx, DrainWaitUntilDeadline); err != nil {
-					t.Fatalf("Drain: %v", err)
-				}
-				cancel()
-			case "close":
-				rt.Close()
-			}
-			close(stop)
-			wg.Wait()
-
-			started, expired, stopped := rt.Stats()
-			h := rt.Health()
-			if started != expired+stopped+h.AbandonedOnClose {
-				t.Fatalf("ledger: started=%d != expired=%d + stopped=%d + abandoned=%d",
-					started, expired, stopped, h.AbandonedOnClose)
-			}
-			if started == 0 {
-				t.Fatal("hammer admitted nothing; test is vacuous")
-			}
-		})
-	}
 }

@@ -2,6 +2,7 @@ package timer
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -138,6 +139,81 @@ func TestSlowCallbackWatchdog(t *testing.T) {
 	}
 	if len(slow) != 1 || slow[0] < 50*time.Millisecond {
 		t.Fatalf("slow handler observed %v", slow)
+	}
+}
+
+// TestOverloadShedding: the runtime has no dispatch queue to overflow.
+// A tick's surplus expiries all run inline in the poll that finds them;
+// none is dropped, queued for later, or counted as anything but
+// delivered.
+func TestOverloadShedding(t *testing.T) {
+	rt, c := newChaosRuntime(t)
+	var ran atomic.Int64
+	for i := 0; i < 64; i++ {
+		if _, err := rt.AfterFunc(10*time.Millisecond, func() { ran.Add(1) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Advance(10 * time.Millisecond)
+	if n := rt.Poll(); n != 64 {
+		t.Fatalf("Poll fired %d, want 64", n)
+	}
+	if ran.Load() != 64 {
+		t.Fatalf("ran %d of 64 actions by the time Poll returned", ran.Load())
+	}
+	if h := rt.Health(); h.Delivered != 64 {
+		t.Fatalf("health %s, want 64 delivered", h)
+	}
+}
+
+// TestOverloadCriticalNeverShed runs seeded bursts at ten times the
+// old dispatch queue's capacity, through a clock jump, a stall and a
+// resume, and requires every timer to run exactly once: with no
+// overload layer, no expiry of any kind is ever shed.
+func TestOverloadCriticalNeverShed(t *testing.T) {
+	rt, clk := newChaosRuntime(t)
+	rng := uint64(0x5EED)
+	next := func(n int) int {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return int(rng % uint64(n))
+	}
+	var ran atomic.Int64
+	const bursts, perBurst = 10, 5
+	for round := 0; round < bursts; round++ {
+		for i := 0; i < perBurst; i++ {
+			d := time.Duration(1+next(3)) * 10 * time.Millisecond
+			if _, err := rt.AfterFunc(d, func() { ran.Add(1) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		switch round {
+		case 3:
+			clk.Jump(50 * time.Millisecond)
+		case 6:
+			clk.Stall()
+		case 8:
+			clk.Resume()
+		}
+		clk.Advance(10 * time.Millisecond)
+		rt.Poll()
+	}
+	for i := 0; i < 16; i++ {
+		clk.Advance(10 * time.Millisecond)
+		rt.Poll()
+	}
+	const total = bursts * perBurst
+	if ran.Load() != total {
+		t.Fatalf("ran %d of %d actions", ran.Load(), total)
+	}
+	started, expired, stopped := rt.Stats()
+	if h := rt.Health(); started != total || expired != total || stopped != 0 || h.Delivered != total {
+		t.Fatalf("started=%d expired=%d stopped=%d delivered=%d, want %d/%d/0/%d",
+			started, expired, stopped, h.Delivered, total, total, total)
+	}
+	if out := rt.Outstanding(); out != 0 {
+		t.Fatalf("outstanding=%d after every deadline passed", out)
 	}
 }
 

@@ -433,14 +433,16 @@ func TestTickerSkipsOverrunPeriods(t *testing.T) {
 	}
 }
 
-// TestStatsInvariantWithAbandoned checks the ledger's every term:
-// expired counts what actually ran, and a timer still outstanding at
-// Close is counted in AbandonedOnClose — never silently lost — so
+// TestStatsInvariantUnderShedding checks the ledger's every term under
+// the burst that once overflowed the retired dispatch pool (five
+// expiries on one tick): nothing is shed, expired counts what actually
+// ran, and a timer still outstanding at Close is counted in
+// AbandonedOnClose — never silently lost — so
 //
 //	started == expired + stopped + outstanding + abandoned
 //
 // holds before and after Close.
-func TestStatsInvariantWithAbandoned(t *testing.T) {
+func TestStatsInvariantUnderShedding(t *testing.T) {
 	rt, fc := newManualRuntime(t)
 	var ran atomic.Int64
 	for i := 0; i < 5; i++ {
@@ -484,6 +486,35 @@ func TestStatsInvariantWithAbandoned(t *testing.T) {
 	}
 	if expired != h.Delivered || h.Delivered != 5 || ran.Load() != 5 {
 		t.Fatalf("expired=%d delivered=%d ran=%d, want 5/5/5", expired, h.Delivered, ran.Load())
+	}
+}
+
+// TestAfterDeliversUnderShedding: After's channel send runs inline on
+// the driver like every expiry, so a burst of expiries due on the same
+// tick can never strand the channel's receiver.
+func TestAfterDeliversUnderShedding(t *testing.T) {
+	rt, fc := newManualRuntime(t)
+	var ran atomic.Int64
+	for i := 0; i < 4; i++ {
+		if _, err := rt.AfterFunc(10*time.Millisecond, func() { ran.Add(1) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ch, err := rt.After(10 * time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc.Advance(10 * time.Millisecond)
+	if n := rt.Poll(); n != 5 {
+		t.Fatalf("Poll fired %d, want 5", n)
+	}
+	select {
+	case <-ch:
+	default:
+		t.Fatal("After channel did not receive in the poll that fired it")
+	}
+	if h := rt.Health(); h.Delivered != 5 || ran.Load() != 4 {
+		t.Fatalf("delivered=%d ran=%d, want 5/4", h.Delivered, ran.Load())
 	}
 }
 

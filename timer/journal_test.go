@@ -147,6 +147,52 @@ func TestJournalResetReportsRearm(t *testing.T) {
 	}
 }
 
+// TestJournalIngressArmAtApplyTime pins when TimerArmed runs on a
+// runtime built with WithIngress: the option stages nothing, so the
+// admission applies inside the scheduling call and is journaled there,
+// before any poll.
+func TestJournalIngressArmAtApplyTime(t *testing.T) {
+	j := &recordingJournal{}
+	rt, fc := newIngressRuntime(t, WithJournal(j))
+	if _, err := rt.AfterFunc(20*time.Millisecond, func() {}, WithTag(3)); err != nil {
+		t.Fatalf("AfterFunc: %v", err)
+	}
+	if ev := j.byTag(3); !sameKinds(ev, "armed") {
+		t.Fatalf("after the call: %v, want [armed]", kinds(ev))
+	}
+	rt.Poll()
+	if ev := j.byTag(3); !sameKinds(ev, "armed") {
+		t.Fatalf("after a poll short of the deadline: %v, want [armed]", kinds(ev))
+	}
+	fc.Advance(20 * time.Millisecond)
+	rt.Poll()
+	if ev := j.byTag(3); !sameKinds(ev, "armed", "fired") {
+		t.Fatalf("after fire: %v, want [armed fired]", kinds(ev))
+	}
+}
+
+// TestJournalShedStagedAdmission covers the bounded-scheme refusal: an
+// admission whose deadline is beyond the scheme's horizon is refused by
+// the scheduling call itself, so it is never started and the journal
+// records nothing for it.
+func TestJournalShedStagedAdmission(t *testing.T) {
+	j := &recordingJournal{}
+	// Hierarchical 4x4: horizon 15 ticks = 150ms at 10ms granularity.
+	rt, _ := newIngressRuntime(t, WithJournal(j),
+		WithScheme(NewHierarchicalWheel([]int{4, 4}, MigrateAlways)))
+	if _, err := rt.AfterFunc(time.Hour, func() {}, WithTag(6)); !errors.Is(err, ErrIntervalOutOfRange) {
+		t.Fatalf("AfterFunc beyond the horizon: err=%v, want ErrIntervalOutOfRange", err)
+	}
+	rt.Poll()
+	if ev := j.byTag(6); len(ev) != 0 {
+		t.Fatalf("tag 6: %v, want nothing journaled", kinds(ev))
+	}
+	if started, _, _ := rt.Stats(); started != 0 {
+		t.Fatalf("started=%d, want 0 (the refused admission never started)", started)
+	}
+	checkConservation(t, rt)
+}
+
 func TestResetBatchSync(t *testing.T) {
 	rt, fc := newManualRuntime(t)
 	fired := 0
@@ -180,6 +226,78 @@ func TestResetBatchSync(t *testing.T) {
 	rt.Poll()
 	if fired != 5 {
 		t.Fatalf("fired=%d, want 5", fired)
+	}
+	checkConservation(t, rt)
+}
+
+func TestResetBatchIngressArmed(t *testing.T) {
+	rt, fc := newIngressRuntime(t)
+	var fired atomic.Int64
+	reqs := make([]Req, 8)
+	for i := range reqs {
+		reqs[i] = Req{After: 30 * time.Millisecond, Fn: func() { fired.Add(1) }}
+	}
+	timers, err := rt.ScheduleBatch(reqs)
+	if err != nil {
+		t.Fatalf("ScheduleBatch: %v", err)
+	}
+	rt.Poll()
+	rr := make([]ResetReq, len(timers))
+	for i, tm := range timers {
+		rr[i] = ResetReq{T: tm, After: 60 * time.Millisecond}
+	}
+	n, err := rt.ResetBatch(rr)
+	if err != nil || n != 8 {
+		t.Fatalf("ResetBatch = (%d, %v), want (8, nil)", n, err)
+	}
+	fc.Advance(40 * time.Millisecond)
+	rt.Poll()
+	if fired.Load() != 0 {
+		t.Fatalf("fired=%d at the superseded deadline, want 0", fired.Load())
+	}
+	fc.Advance(20 * time.Millisecond)
+	rt.Poll()
+	if fired.Load() != 8 {
+		t.Fatalf("fired=%d, want 8", fired.Load())
+	}
+	checkConservation(t, rt)
+}
+
+// TestResetBatchIngressStaged resets a batch before any poll has run:
+// the batch must land every timer on the new deadline without
+// double-arming.
+func TestResetBatchIngressStaged(t *testing.T) {
+	rt, fc := newIngressRuntime(t)
+	var fired atomic.Int64
+	reqs := make([]Req, 8)
+	for i := range reqs {
+		reqs[i] = Req{After: 30 * time.Millisecond, Fn: func() { fired.Add(1) }}
+	}
+	timers, err := rt.ScheduleBatch(reqs)
+	if err != nil {
+		t.Fatalf("ScheduleBatch: %v", err)
+	}
+	rr := make([]ResetReq, len(timers))
+	for i, tm := range timers {
+		rr[i] = ResetReq{T: tm, After: 60 * time.Millisecond}
+	}
+	if n, err := rt.ResetBatch(rr); err != nil || n != 8 {
+		t.Fatalf("ResetBatch = (%d, %v), want (8, nil)", n, err)
+	}
+	fc.Advance(40 * time.Millisecond)
+	rt.Poll()
+	if fired.Load() != 0 {
+		t.Fatalf("fired=%d at the superseded deadline, want 0", fired.Load())
+	}
+	fc.Advance(20 * time.Millisecond)
+	rt.Poll()
+	if fired.Load() != 8 {
+		t.Fatalf("fired=%d, want exactly 8 (no double-arm)", fired.Load())
+	}
+	fc.Advance(time.Second)
+	rt.Poll()
+	if fired.Load() != 8 {
+		t.Fatalf("fired=%d after settling, want 8", fired.Load())
 	}
 	checkConservation(t, rt)
 }
@@ -247,6 +365,42 @@ func TestResetBatchSharded(t *testing.T) {
 	if fired.Load() != 8 {
 		t.Fatalf("fired=%d after reset to 5ms, want 8", fired.Load())
 	}
+}
+
+// TestDrainFireNowStagedBeyondHorizon: beyond-horizon admissions made
+// just before Drain(DrainFireNow) are refused by their own calls and
+// never enter the ledger, while the in-horizon ones made alongside them
+// are all fired by the drain; nothing vanishes from either side.
+func TestDrainFireNowStagedBeyondHorizon(t *testing.T) {
+	// Hierarchical 4x4: horizon 15 ticks = 150ms at 10ms granularity.
+	rt, _ := newIngressRuntime(t,
+		WithScheme(NewHierarchicalWheel([]int{4, 4}, MigrateAlways)))
+	var fired atomic.Int64
+	for i := 0; i < 8; i++ {
+		if _, err := rt.AfterFunc(time.Hour, func() { fired.Add(1) }); !errors.Is(err, ErrIntervalOutOfRange) {
+			t.Fatalf("AfterFunc(1h): err=%v, want ErrIntervalOutOfRange", err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := rt.AfterFunc(50*time.Millisecond, func() { fired.Add(1) }); err != nil {
+			t.Fatalf("AfterFunc(50ms): %v", err)
+		}
+	}
+	// No Poll before the drain.
+	rep, err := rt.Drain(context.Background(), DrainFireNow)
+	if err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if rep.Fired != 4 || fired.Load() != 4 {
+		t.Fatalf("report.Fired=%d actual=%d, want 4/4", rep.Fired, fired.Load())
+	}
+	if rep.Cancelled != 0 {
+		t.Fatalf("report.Cancelled=%d, want 0", rep.Cancelled)
+	}
+	if started, expired, _ := rt.Stats(); started != 4 || expired != 4 {
+		t.Fatalf("started=%d expired=%d, want 4/4", started, expired)
+	}
+	checkConservation(t, rt)
 }
 
 // TestDrainFireNowRacesLateScheduleBatch is a race hammer: producers
@@ -338,61 +492,69 @@ func (j *batchJournal) TimersFired(fires []Fire) {
 // runtime lock held; untagged timers stay out of the batch, and the
 // per-fire TimerFired is not called.
 func TestTimersFiredOneCallPerPoll(t *testing.T) {
-	const n = 64
-	j := &batchJournal{}
-	rt, fc := newFakeRuntime(t, WithJournal(j))
-	ran := 0
-	timers := make(map[uint64]*Timer, n)
-	for i := 1; i <= n; i++ {
-		var fn func()
-		if i%2 == 0 {
-			fn = func() { ran++ } // half run a callback, half are journal-only
-		}
-		tm, err := rt.Schedule(Tick(i), fn, WithTag(uint64(i)))
-		if err != nil {
-			t.Fatalf("Schedule(%d): %v", i, err)
-		}
-		timers[uint64(i)] = tm
+	for _, ingress := range []bool{false, true} {
+		t.Run(map[bool]string{false: "sync", true: "ingress"}[ingress], func(t *testing.T) {
+			const n = 64
+			j := &batchJournal{}
+			opts := []RuntimeOption{WithJournal(j)}
+			if ingress {
+				opts = append(opts, WithIngress(0))
+			}
+			rt, fc := newFakeRuntime(t, opts...)
+			ran := 0
+			timers := make(map[uint64]*Timer, n)
+			for i := 1; i <= n; i++ {
+				var fn func()
+				if i%2 == 0 {
+					fn = func() { ran++ } // half run a callback, half are journal-only
+				}
+				tm, err := rt.Schedule(Tick(i), fn, WithTag(uint64(i)))
+				if err != nil {
+					t.Fatalf("Schedule(%d): %v", i, err)
+				}
+				timers[uint64(i)] = tm
+			}
+			if _, err := rt.AfterFunc(10*time.Millisecond, func() {}); err != nil { // untagged
+				t.Fatal(err)
+			}
+			j.onBatch = func() {
+				if ran != n/2 {
+					t.Errorf("TimersFired ran after %d of %d callbacks", ran, n/2)
+				}
+				rt.Outstanding() // takes rt.mu: deadlocks if the poll still held it
+			}
+			fc.Advance(n * 10 * time.Millisecond)
+			if got := rt.Poll(); got != n+1 {
+				t.Fatalf("Poll fired %d, want %d", got, n+1)
+			}
+			if len(j.batches) != 1 || len(j.batches[0]) != n {
+				t.Fatalf("TimersFired calls %d (first of %d fires), want 1 call of %d", len(j.batches), len(j.batches), n)
+			}
+			for _, f := range j.batches[0] {
+				if tm := timers[f.Tag]; tm == nil || f.ID != tm.ID() {
+					t.Fatalf("fire tag %d: id %d does not match its timer", f.Tag, f.ID)
+				}
+				if want := int64(n-int(f.Tag)) * int64(10*time.Millisecond); f.LagNS != want {
+					t.Fatalf("fire tag %d: lag %dns, want %dns", f.Tag, f.LagNS, want)
+				}
+				delete(timers, f.Tag)
+			}
+			if len(timers) != 0 {
+				t.Fatalf("%d tagged timers missing from the batch", len(timers))
+			}
+			for _, e := range j.events {
+				if e.kind == "fired" {
+					t.Fatalf("TimerFired called for tag %d alongside TimersFired", e.tag)
+				}
+			}
+			fc.Advance(10 * time.Millisecond)
+			rt.Poll()
+			if len(j.batches) != 1 {
+				t.Fatalf("a poll that fired no tagged timer called TimersFired")
+			}
+			checkConservation(t, rt)
+		})
 	}
-	if _, err := rt.AfterFunc(10*time.Millisecond, func() {}); err != nil { // untagged
-		t.Fatal(err)
-	}
-	j.onBatch = func() {
-		if ran != n/2 {
-			t.Errorf("TimersFired ran after %d of %d callbacks", ran, n/2)
-		}
-		rt.Outstanding() // takes rt.mu: deadlocks if the poll still held it
-	}
-	fc.Advance(n * 10 * time.Millisecond)
-	if got := rt.Poll(); got != n+1 {
-		t.Fatalf("Poll fired %d, want %d", got, n+1)
-	}
-	if len(j.batches) != 1 || len(j.batches[0]) != n {
-		t.Fatalf("TimersFired calls %d (first of %d fires), want 1 call of %d", len(j.batches), len(j.batches), n)
-	}
-	for _, f := range j.batches[0] {
-		if tm := timers[f.Tag]; tm == nil || f.ID != tm.ID() {
-			t.Fatalf("fire tag %d: id %d does not match its timer", f.Tag, f.ID)
-		}
-		if want := int64(n-int(f.Tag)) * int64(10*time.Millisecond); f.LagNS != want {
-			t.Fatalf("fire tag %d: lag %dns, want %dns", f.Tag, f.LagNS, want)
-		}
-		delete(timers, f.Tag)
-	}
-	if len(timers) != 0 {
-		t.Fatalf("%d tagged timers missing from the batch", len(timers))
-	}
-	for _, e := range j.events {
-		if e.kind == "fired" {
-			t.Fatalf("TimerFired called for tag %d alongside TimersFired", e.tag)
-		}
-	}
-	fc.Advance(10 * time.Millisecond)
-	rt.Poll()
-	if len(j.batches) != 1 {
-		t.Fatalf("a poll that fired no tagged timer called TimersFired")
-	}
-	checkConservation(t, rt)
 }
 
 // TestJournalWithoutBatcherSeesEachFire: a Journal without TimersFired
@@ -429,41 +591,49 @@ func TestJournalWithoutBatcherSeesEachFire(t *testing.T) {
 // without running (or timing) a callback; an untagged nil callback, or
 // one whose last tag is 0, is still refused with ErrNilCallback.
 func TestJournalOnlyTimer(t *testing.T) {
-	j := &batchJournal{}
-	rt, fc := newFakeRuntime(t, WithJournal(j))
-	if _, err := rt.AfterFunc(10*time.Millisecond, nil, WithTag(1)); err != nil {
-		t.Fatalf("tagged AfterFunc(nil): %v", err)
+	for _, ingress := range []bool{false, true} {
+		t.Run(map[bool]string{false: "sync", true: "ingress"}[ingress], func(t *testing.T) {
+			j := &batchJournal{}
+			opts := []RuntimeOption{WithJournal(j)}
+			if ingress {
+				opts = append(opts, WithIngress(0))
+			}
+			rt, fc := newFakeRuntime(t, opts...)
+			if _, err := rt.AfterFunc(10*time.Millisecond, nil, WithTag(1)); err != nil {
+				t.Fatalf("tagged AfterFunc(nil): %v", err)
+			}
+			if _, err := rt.Schedule(1, nil, WithTag(9), WithTag(2)); err != nil {
+				t.Fatalf("tagged Schedule(nil): %v", err)
+			}
+			timers, err := rt.ScheduleBatch([]Req{
+				{After: 10 * time.Millisecond, Opt: WithTag(3)},
+				{After: 10 * time.Millisecond},
+				{After: 10 * time.Millisecond, Opt: WithTag(0)},
+			})
+			if !errors.Is(err, ErrNilCallback) || timers[0] == nil || timers[1] != nil || timers[2] != nil {
+				t.Fatalf("ScheduleBatch: err=%v timers=%v; want tagged slot armed, untagged slots refused", err, timers)
+			}
+			if _, err := rt.AfterFunc(10*time.Millisecond, nil); !errors.Is(err, ErrNilCallback) {
+				t.Fatalf("untagged AfterFunc(nil): err=%v, want ErrNilCallback", err)
+			}
+			if _, err := rt.Schedule(1, nil, WithTag(5), WithTag(0)); !errors.Is(err, ErrNilCallback) {
+				t.Fatalf("Schedule(nil) retagged 0: err=%v, want ErrNilCallback", err)
+			}
+			fc.Advance(10 * time.Millisecond)
+			rt.Poll()
+			if len(j.batches) != 1 || len(j.batches[0]) != 3 {
+				t.Fatalf("TimersFired batches %v, want one batch of tags 1-3", j.batches)
+			}
+			h := rt.Health()
+			if h.Delivered != 3 {
+				t.Fatalf("delivered=%d, want 3", h.Delivered)
+			}
+			if c := rt.Snapshot().CallbackNS.Count; c != 0 {
+				t.Fatalf("journal-only timers recorded %d callback durations", c)
+			}
+			checkConservation(t, rt)
+		})
 	}
-	if _, err := rt.Schedule(1, nil, WithTag(9), WithTag(2)); err != nil {
-		t.Fatalf("tagged Schedule(nil): %v", err)
-	}
-	timers, err := rt.ScheduleBatch([]Req{
-		{After: 10 * time.Millisecond, Opt: WithTag(3)},
-		{After: 10 * time.Millisecond},
-		{After: 10 * time.Millisecond, Opt: WithTag(0)},
-	})
-	if !errors.Is(err, ErrNilCallback) || timers[0] == nil || timers[1] != nil || timers[2] != nil {
-		t.Fatalf("ScheduleBatch: err=%v timers=%v; want tagged slot armed, untagged slots refused", err, timers)
-	}
-	if _, err := rt.AfterFunc(10*time.Millisecond, nil); !errors.Is(err, ErrNilCallback) {
-		t.Fatalf("untagged AfterFunc(nil): err=%v, want ErrNilCallback", err)
-	}
-	if _, err := rt.Schedule(1, nil, WithTag(5), WithTag(0)); !errors.Is(err, ErrNilCallback) {
-		t.Fatalf("Schedule(nil) retagged 0: err=%v, want ErrNilCallback", err)
-	}
-	fc.Advance(10 * time.Millisecond)
-	rt.Poll()
-	if len(j.batches) != 1 || len(j.batches[0]) != 3 {
-		t.Fatalf("TimersFired batches %v, want one batch of tags 1-3", j.batches)
-	}
-	h := rt.Health()
-	if h.Delivered != 3 {
-		t.Fatalf("delivered=%d, want 3", h.Delivered)
-	}
-	if c := rt.Snapshot().CallbackNS.Count; c != 0 {
-		t.Fatalf("journal-only timers recorded %d callback durations", c)
-	}
-	checkConservation(t, rt)
 }
 
 // TestTimersFiredConcurrentPolls: polls racing on several goroutines

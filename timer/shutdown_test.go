@@ -8,10 +8,10 @@ import (
 	"time"
 )
 
-// TestDrainShardHealthSumsToAggregate (sharded observability): after a
+// TestOverloadShardHealthSumsToAggregate (sharded observability): after a
 // shutdown the per-shard snapshots must sum, field for field, to the
 // aggregate Health.
-func TestDrainShardHealthSumsToAggregate(t *testing.T) {
+func TestOverloadShardHealthSumsToAggregate(t *testing.T) {
 	s := NewSharded(4, WithGranularity(time.Millisecond))
 	var ran atomic.Int64
 	const n = 12
@@ -45,14 +45,14 @@ func TestDrainShardHealthSumsToAggregate(t *testing.T) {
 	}
 }
 
-// TestDrainShardHealthConcurrent reads ShardHealth and Health
+// TestOverloadShardHealthDuringDrain reads ShardHealth and Health
 // continuously while a Drain is in flight. Under -race this proves the
 // per-shard read path is safe against the drain's counter writes; the
 // consistency assertion is a sandwich — each counter summed from the
 // shard snapshots must land between aggregate readings taken before and
 // after it (counters are monotone) — with exact field-wise equality once
 // the drain has quiesced everything.
-func TestDrainShardHealthConcurrent(t *testing.T) {
+func TestOverloadShardHealthDuringDrain(t *testing.T) {
 	s := NewSharded(4, WithGranularity(time.Millisecond))
 	const n = 400
 	for i := 0; i < n; i++ {
@@ -116,9 +116,9 @@ func TestDrainShardHealthConcurrent(t *testing.T) {
 	}
 }
 
-// TestDrainRefusesSchedule: every admission path refuses with
+// TestOverloadScheduleDuringDrainFails: every admission path refuses with
 // ErrDraining once a drain has begun.
-func TestDrainRefusesSchedule(t *testing.T) {
+func TestOverloadScheduleDuringDrainFails(t *testing.T) {
 	rt, _ := newManualRuntime(t)
 	if _, err := rt.AfterFunc(time.Hour, func() {}); err != nil {
 		t.Fatal(err)

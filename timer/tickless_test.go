@@ -2,6 +2,8 @@ package timer
 
 import (
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -378,7 +380,8 @@ func (c *recomputeCountingClock) waitParked(t *testing.T) int64 {
 // deadline, and fires on time.
 func TestTicklessWakeDiscipline(t *testing.T) {
 	for name, extra := range map[string][]RuntimeOption{
-		"sync": nil,
+		"sync":    nil,
+		"ingress": {WithIngress(0)},
 	} {
 		t.Run(name, func(t *testing.T) {
 			c := &recomputeCountingClock{Fake: clock.NewFake(time.Time{})}
@@ -477,7 +480,8 @@ func TestTicklessParkedRace(t *testing.T) {
 		slack = 250 * time.Millisecond
 	)
 	for name, extra := range map[string][]RuntimeOption{
-		"sync": nil,
+		"sync":    nil,
+		"ingress": {WithIngress(0)},
 	} {
 		t.Run(name, func(t *testing.T) {
 			rt := NewRuntime(append([]RuntimeOption{
@@ -589,5 +593,148 @@ func TestTicklessParkedRace(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// recomputeHookClock is a Fake whose Now runs a one-shot hook when the
+// tickless driver reads the time inside its sleep recompute — under
+// rt.mu, before it records where it parks.
+type recomputeHookClock struct {
+	*clock.Fake
+	hook atomic.Pointer[func()]
+}
+
+func (c *recomputeHookClock) Now() time.Time {
+	if c.hook.Load() != nil && calledFromRecompute() {
+		if h := c.hook.Swap(nil); h != nil {
+			(*h)()
+		}
+	}
+	return c.Fake.Now()
+}
+
+// calledFromRecompute reports whether the driver loop itself (not Poll
+// or a callback it runs) is reading the clock.
+func calledFromRecompute() bool {
+	pc := make([]uintptr, 6)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(3, pc)])
+	for {
+		f, more := frames.Next()
+		switch {
+		case strings.HasSuffix(f.Function, ".(*Runtime).ticklessLoop"):
+			return true
+		case strings.Contains(f.Function, ".(*Runtime)."):
+			return false
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// TestTicklessStageDuringRecomputeWakes pins the window the conditional
+// poke must cover: a producer admits a timer while the driver is inside
+// its recompute, after it chose its sleep but before it parked. The
+// admission waits for rt.mu, so it sees the park the driver records and
+// must poke; if it compared against the previous (already passed) sleep
+// target instead, the driver would nap a minute past the timer's 5 s
+// deadline.
+func TestTicklessStageDuringRecomputeWakes(t *testing.T) {
+	c := &recomputeHookClock{Fake: clock.NewFake(time.Time{})}
+	rt := NewRuntime(
+		WithGranularity(time.Millisecond),
+		WithScheme(NewHierarchicalWheel([]int{256, 64, 64, 64, 64}, MigrateAlways)),
+		WithTickless(),
+		WithIngress(0),
+		WithClockSource(c),
+	)
+	defer rt.Close()
+	if _, err := rt.AfterFunc(time.Hour, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	staged := make(chan struct{})
+	fired := make(chan struct{})
+	stage := func() {
+		// Another goroutine admits while the driver holds rt.mu in its
+		// recompute; it cannot finish until the driver has parked.
+		go func() {
+			defer close(staged)
+			if _, err := rt.AfterFunc(5*time.Second, func() { close(fired) }); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	// The near timer's callback arms the hook, so it runs in the
+	// recompute that follows this expiry, with only the hour-out timer
+	// left to sleep for.
+	if _, err := rt.AfterFunc(time.Second, func() { c.hook.Store(&stage) }); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for hooked := false; !hooked; {
+		select {
+		case <-staged:
+			hooked = true
+		default:
+			if time.Now().After(deadline) {
+				t.Fatal("hooked recompute never ran")
+			}
+			c.Advance(100 * time.Millisecond)
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// Settle: the driver must have re-parked no later than the new
+	// timer's deadline (about 6 s in; without the poke it naps to about
+	// 61 s).
+	settle := time.Now().Add(5 * time.Second)
+	for rt.parkedUntil.Load() == notParked || len(rt.wake) > 0 || rt.parkedUntil.Load() > 7_000 {
+		if time.Now().After(settle) {
+			t.Fatalf("driver parked until tick %d, past the admitted 5 s timer", rt.parkedUntil.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	c.Advance(6 * time.Second)
+	select {
+	case <-fired:
+	case <-time.After(5 * time.Second):
+		t.Fatal("timer admitted during the recompute never fired")
+	}
+}
+
+// TestTicklessDeepRingWakesDriver: admissions later than the driver's
+// sleep never wake it, however many arrive. Sixteen of them — a
+// quarter of the depth the option names, where the retired staging
+// ring used to wake the driver to drain it — cost no poll and no
+// recompute, and are all armed by their calls.
+func TestTicklessDeepRingWakesDriver(t *testing.T) {
+	c := &recomputeCountingClock{Fake: clock.NewFake(time.Time{})}
+	rt := NewRuntime(
+		WithGranularity(time.Millisecond),
+		WithScheme(NewHierarchicalWheel([]int{256, 64, 64, 64, 64}, MigrateAlways)),
+		WithTickless(),
+		WithIngress(64),
+		WithClockSource(c),
+	)
+	c.rt.Store(rt)
+	defer rt.Close()
+	if _, err := rt.AfterFunc(time.Hour, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	recomputes := c.waitParked(t)
+	polls := rt.Snapshot().TickBatch.Count
+	for i := 0; i < 16; i++ {
+		if _, err := rt.AfterFunc(2*time.Hour, func() {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := rt.Outstanding(); got != 17 {
+		t.Fatalf("Outstanding=%d, want 17 (every late admission armed by its call)", got)
+	}
+	time.Sleep(20 * time.Millisecond) // room for a (wrong) wakeup
+	if n := c.waitParked(t); n != recomputes {
+		t.Fatalf("late admissions cost %d recomputes, want 0", n-recomputes)
+	}
+	if n := rt.Snapshot().TickBatch.Count; n != polls {
+		t.Fatalf("late admissions cost %d polls, want 0", n-polls)
 	}
 }
