@@ -71,17 +71,34 @@ race:
 	$(GO) test -race ./...
 
 # Hot-path benchmarks with allocation counts, summarized as JSON at the
-# repo root (BENCH_11.json) and gated against the committed BENCH_10.json:
-# the run fails if AfterFunc+Stop slows down more than 10% or the
-# allocation-free hot path starts allocating. BENCH_11 reruns the
-# reset-heavy race (BenchmarkResetHeavy, reset ratio 50/80/95%) with
-# every wheel resetting in place, as gsq already did in BENCH_10. Both
-# files were taken at GOMAXPROCS=1, whose benchmark names carry no -N
-# suffix; benchjson matches names verbatim, so on a multi-core box run
-# `GOMAXPROCS=1 make bench` for the gate to compare anything. Set
-# BENCH_BASELINE to a saved `go test -bench` output file to embed
-# different before/after numbers; BENCH_COUNT repeats each benchmark.
-# `make benchall` is the old kitchen-sink run.
+# repo root (BENCH_11.json). The run is a regression gate: it fails if
+# AfterFunc+Stop slows down more than 10% or the allocation-free hot
+# path starts allocating. With BENCH_BASELINE (a saved `go test -bench`
+# output file) the gate's reference is that baseline, and its numbers
+# are also the file's before column; without it, the reference is the
+# committed BENCH_10.json, whose absolute numbers measure the box it was
+# taken on as much as the code. BENCH_11 reruns the reset-heavy race
+# (BenchmarkResetHeavy, reset ratio 50/80/95%) with every wheel
+# resetting in place, as gsq already did in BENCH_10. Both files were
+# taken at GOMAXPROCS=1, whose benchmark names carry no -N suffix;
+# benchjson matches names verbatim, so on a multi-core box run
+# `GOMAXPROCS=1 make bench` for the gate to compare anything.
+# BENCH_COUNT repeats each benchmark.
+#
+# A fair gate on a noisy machine compares against the parent commit in
+# the same window, interleaved, so slow drift hits both sides:
+#
+#   git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
+#   B='BenchmarkRuntimeConcurrent|BenchmarkVsStdlib|BenchmarkRuntimeIngress|BenchmarkWALAppend|BenchmarkWALStream|BenchmarkAdmitTraced|BenchmarkResetHeavy'
+#   for i in 1 2 3; do
+#     (cd ../parent && GOMAXPROCS=1 go test -run=NONE -bench="$B" -benchmem .) >> before.txt
+#     GOMAXPROCS=1 go test -run=NONE -bench="$B" -benchmem . >> after.txt
+#   done
+#   go run ./cmd/benchjson -input after.txt -baseline before.txt -o BENCH_n.json
+#
+# (repeated names keep the fastest run on each side), or, for one fresh
+# run right after the parent's: `GOMAXPROCS=1 make bench
+# BENCH_BASELINE=before.txt`. `make benchall` is the old kitchen-sink run.
 BENCH_BASELINE ?=
 BENCH_COUNT ?= 1
 bench:

@@ -13,14 +13,17 @@
 // commit; its ns/op, B/op, and allocs/op are embedded verbatim under
 // "before" for each benchmark name that also appears in the fresh run.
 //
-// -compare reads a previously committed BENCH_<n>.json and turns the run
-// into a regression gate: the process exits nonzero if any shared
-// benchmark's ns/op exceeds the committed number by more than 10%, or if
-// a benchmark that was allocation-free (0 allocs/op) now allocates.
-// Reference series (names containing "stdlib") are reported but never
-// gate — they measure the standard library, not this repository. When
-// -baseline is not given, the compared report's numbers double as the
-// "before" column of the fresh output.
+// The run is a regression gate whenever it has a reference: the process
+// exits nonzero if any shared benchmark's ns/op exceeds the reference by
+// more than 10%, or if a benchmark that was allocation-free (0
+// allocs/op) now allocates. Reference series (names containing
+// "stdlib") are reported but never gate — they measure the standard
+// library, not this repository. The reference is the -baseline run when
+// one is given: numbers taken on the same machine in the same window,
+// so the gate measures the code rather than the box's speed on the day.
+// Without -baseline, -compare names a previously committed
+// BENCH_<n>.json whose numbers are the reference and also the "before"
+// column of the fresh output.
 //
 // -input skips running go test and parses a saved `go test -bench`
 // output instead (repeated benchmark names keep the fastest run, as
@@ -73,8 +76,8 @@ type Report struct {
 func main() {
 	bench := flag.String("bench", "BenchmarkRuntimeConcurrent|BenchmarkVsStdlib|BenchmarkRuntimeIngress|BenchmarkWALAppend|BenchmarkWALStream|BenchmarkAdmitTraced|BenchmarkResetHeavy",
 		"benchmark regexp passed to go test -bench")
-	baseline := flag.String("baseline", "", "prior go test -bench output to embed as the before numbers")
-	compare := flag.String("compare", "", "prior BENCH_<n>.json to gate against (>10% ns/op or 0->N allocs/op fails)")
+	baseline := flag.String("baseline", "", "prior go test -bench output: the before numbers, and the gate's reference")
+	compare := flag.String("compare", "", "prior BENCH_<n>.json to gate against when no -baseline is given (>10% ns/op or 0->N allocs/op fails)")
 	out := flag.String("o", "BENCH_2.json", "output JSON path")
 	count := flag.Int("count", 1, "-count passed to go test")
 	pkg := flag.String("pkg", ".", "package to benchmark")
@@ -124,12 +127,15 @@ func main() {
 		}
 	}
 
-	var committed map[string]Metrics
-	if *compare != "" {
-		committed = readReport(*compare)
-		if *baseline == "" {
-			before = committed
-		}
+	// ref is what the gate compares against: the same-window baseline
+	// if there is one, else the committed report.
+	var ref map[string]Metrics
+	switch {
+	case *baseline != "":
+		ref = before
+	case *compare != "":
+		before = readReport(*compare)
+		ref = before
 	}
 
 	for _, r := range fresh {
@@ -155,15 +161,15 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %s (%d benchmarks)\n", *out, len(rep.Benchmarks))
 
-	if committed != nil && !gate(rep.Benchmarks, committed) {
+	if ref != nil && !gate(rep.Benchmarks, ref) {
 		os.Exit(1)
 	}
 }
 
-// maxRegression is the ns/op slack the -compare gate allows before
-// calling a benchmark regressed: committed numbers come from a different
-// (possibly loaded) run of the same machine class, so a tolerance is
-// needed, but a hot-path slowdown past 10% is a finding, not noise.
+// maxRegression is the ns/op slack the gate allows before calling a
+// benchmark regressed: even a same-window baseline is a different
+// (possibly loaded) run, so a tolerance is needed, but a hot-path
+// slowdown past 10% is a finding, not noise.
 const maxRegression = 1.10
 
 // readReport loads a committed BENCH_<n>.json and indexes its "after"
@@ -186,14 +192,14 @@ func readReport(path string) map[string]Metrics {
 	return m
 }
 
-// gate checks every fresh benchmark that also appears in the committed
-// report, printing a verdict per line; it reports false if any gated
-// benchmark regressed past maxRegression in ns/op or gained allocations
-// after being allocation-free.
-func gate(fresh []Result, committed map[string]Metrics) bool {
+// gate checks every fresh benchmark that also appears in the reference,
+// printing a verdict per line; it reports false if any gated benchmark
+// regressed past maxRegression in ns/op or gained allocations after
+// being allocation-free.
+func gate(fresh []Result, ref map[string]Metrics) bool {
 	ok := true
 	for _, r := range fresh {
-		old, found := committed[r.Name]
+		old, found := ref[r.Name]
 		if !found {
 			continue
 		}

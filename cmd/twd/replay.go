@@ -14,15 +14,14 @@ const replayChunk = 512
 // replay arms the State: every outstanding timer goes back into the
 // facility at its durable wall-clock deadline (a deadline that passed
 // during downtime arms at the minimum delay and fires on the first
-// poll, with the true lag recorded), and every live lease is restored
-// with its owned-timer set so a client that died along with the daemon
-// is still garbage-collected.
+// poll, with the true lag recorded), and every live lease gets its
+// owned-timer set and a watchdog for the rest of its TTL, so a client
+// that died along with the daemon is still garbage-collected.
 //
 // Timers are armed straight from the State's map, a chunk at a time,
-// and before leases: a recovered past-expiry lease fires its watchdog
-// almost immediately, and its GC must find every owned handle already
-// published. Nothing is written to the WAL — the log already says all
-// of this.
+// and before leases: a lease's GC must find every owned handle already
+// published. Nothing is written to the WAL for a live lease — the log
+// already says all of this.
 func (s *server) replay() error {
 	st := s.state
 	reqs := make([]timer.Req, 0, replayChunk)
@@ -34,9 +33,6 @@ func (s *server) replay() error {
 	// compaction shrinks: re-issuing a settled timer's ID would let a
 	// client holding the stale ID stop an unrelated new timer.
 	s.nextID.Store(st.NextID)
-	// Lease IDs likewise: a released lease is gone from the State, but
-	// a client holding its ID must not reach a new lease through it.
-	s.leases.ReserveIDs(st.NextLeaseID)
 	s.handles = make(map[uint64]*timer.Timer, len(st.Timers))
 	now := s.clk.Now().UnixNano()
 	for id, ts := range st.Timers {
@@ -74,20 +70,20 @@ func (s *server) replay() error {
 	// A lease already past its TTL is a client that died while the
 	// daemon was down (or, on a promoted standby, died with the old
 	// primary). Its timers are GC'd synchronously HERE — before the
-	// daemon starts admitting — not via Restore's watchdog: an admission
-	// racing the watchdog could attach to a lease that is already dead,
-	// and on a promoted standby the window would span the whole
-	// promotion.
+	// daemon starts admitting — not via a watchdog: an admission racing
+	// the watchdog could attach to a lease that is already dead, and on
+	// a promoted standby the window would span the whole promotion.
 	now = s.clk.Now().UnixNano()
 	for id, ls := range leases {
 		if ls.Expiry <= now {
-			// Best-effort durability, exactly like the watchdog path: the
-			// expiry replays and GCs again if these records miss the disk.
-			s.gcLease(id, owned[id], false) //nolint:errcheck
+			s.mu.Lock()
+			victims := s.expireLeaseLocked(id, owned[id])
+			s.mu.Unlock()
+			s.fac.StopBatch(victims)
 			continue
 		}
-		if err := s.leases.Restore(id, time.Unix(0, ls.Expiry), owned[id]); err != nil {
-			return fmt.Errorf("twd: restore lease %d: %w", id, err)
+		if err := s.leases.Watch(id, time.Duration(ls.Expiry-now), owned[id]); err != nil {
+			return fmt.Errorf("twd: watch lease %d: %w", id, err)
 		}
 	}
 	return nil

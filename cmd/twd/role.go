@@ -237,8 +237,9 @@ func (s *server) promote(ctx context.Context) (uint64, error) {
 	// /v1/fired cursors stay monotonic across the failover (a standby
 	// fired nothing, so its ring is empty), then every outstanding timer
 	// arms at its absolute deadline (past deadlines fire immediately with
-	// true lag), live leases are restored, dead ones eagerly GC'd, and
-	// the ID allocator seeded.
+	// true lag), live leases get their owned timers and a watchdog for
+	// the rest of their TTL, dead ones are eagerly GC'd, and the timer-ID
+	// allocator is seeded.
 	s.mu.Lock()
 	s.firedSeq = s.state.Fired
 	outstanding := len(s.state.Timers)

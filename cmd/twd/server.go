@@ -99,7 +99,8 @@ const firedRingMax = 8192
 // handles, traces, fired ring) and for every wal.Append — serializing
 // appends against compaction, which seeds the snapshot from the State
 // under the same lock. The WAL's and lease table's internal mutexes are
-// leaves under s.mu. The facility is never called with s.mu held, so
+// leaves under s.mu; the lease table arms and re-arms watchdogs under
+// its own, never under s.mu. The facility is never called with s.mu held, so
 // no request waits on a runtime lock while holding the daemon's, and
 // the driver's settle (which takes s.mu) never queues behind one. No
 // fsync runs under s.mu
@@ -107,13 +108,18 @@ const firedRingMax = 8192
 // request's goroutine, and the -sync-every count trigger for records
 // nobody commits is handed to syncLoop.
 type server struct {
-	cfg    config
-	clk    clock.Clock
-	log    *wal.Log
-	fac    *timer.Sharded
+	cfg config
+	clk clock.Clock
+	log *wal.Log
+	fac *timer.Sharded
+	// leases holds one watchdog per live lease and the timers each owns;
+	// the leases themselves are the State's.
 	leases *lease.Table
 
 	nextID atomic.Uint64
+	// The lease counters the State does not keep: renewals, and which
+	// lease ends (one record op for both) were expiries or releases.
+	leasesRenewed, leasesExpired, leasesReleased atomic.Uint64
 
 	// Replication identity: role transitions serialize on role.mu;
 	// roleNow/termNow are the lock-free read side.
@@ -227,6 +233,9 @@ func newServer(cfg config) (*server, error) {
 	if cfg.facTrace == 0 {
 		cfg.facTrace = 4096
 	}
+	if cfg.defaultTTL <= 0 {
+		cfg.defaultTTL = 30 * time.Second
+	}
 	// The WAL's own count trigger stays off (SyncEvery 0): it would fsync
 	// inside Append, which twd calls under s.mu and, for fire records, on
 	// the timer driver. twd counts the records nobody commits itself and
@@ -270,11 +279,7 @@ func newServer(cfg config) (*server, error) {
 		// /v1/trace?facility=1 lines up with the stage timelines.
 		timer.WithTrace(cfg.facTrace),
 	)
-	s.leases = lease.NewTable(s.fac, lease.Config{
-		DefaultTTL: cfg.defaultTTL,
-		OnExpire:   s.onLeaseExpired,
-		Now:        cfg.clk.Now,
-	})
+	s.leases = lease.NewTable(s.fac, lease.Config{OnExpire: s.onLeaseWatchdog})
 
 	switch {
 	case cfg.follow != "":
@@ -355,7 +360,7 @@ func (s *server) noteUnsyncedLocked(n int) {
 // acking — the WAL record IS the ack's durability. Delivery, though,
 // is the facility's own act, so it is observed here: twd's timers are
 // journal-only (no callback), and the runtime hands each poll's fires
-// to TimersFired as one batch.
+// to TimersFired (timer.FireBatcher) as one batch.
 
 func (s *server) TimerArmed(uint64, timer.ID, timer.Tick) {}
 func (s *server) TimerStopped(uint64, timer.ID)           {}
@@ -364,12 +369,6 @@ func (s *server) TimerStopped(uint64, timer.ID)           {}
 // driver with no facility lock held, once the poll's deliveries are
 // counted.
 func (s *server) TimersFired(fires []timer.Fire) { s.settle(fires) }
-
-// TimerFired completes the Journal interface; the runtime hands twd's
-// fires to TimersFired, so this sees none.
-func (s *server) TimerFired(tag uint64, id timer.ID, lagNS int64) {
-	s.settle([]timer.Fire{{Tag: tag, ID: id, LagNS: lagNS}})
-}
 
 // settle retires a batch of delivered timers under one s.mu
 // hold, stamped with one clock read: per timer a WAL fire record, lease
@@ -478,31 +477,59 @@ func (s *server) cancelLocked(id uint64, ts wal.TimerState) (*timer.Timer, wal.L
 	return tm, lsn, err
 }
 
-// onLeaseExpired is the lease table's OnExpire hook: the client stopped
-// heartbeating, so its timers are garbage-collected and the whole
-// transition is logged. Runs on a delivery goroutine (no facility lock
-// held), so calling StopBatch is safe.
-func (s *server) onLeaseExpired(id uint64, timers []uint64) {
-	// Best-effort durability: nobody is waiting on an ack, so a WAL
-	// failure here only means the expiry replays and GCs again on boot.
-	s.gcLease(id, timers, false) //nolint:errcheck
+// onLeaseWatchdog is the lease table's OnExpire hook, run on a
+// delivery goroutine (no facility lock held) when lease id's watchdog
+// fires. The State decides what the firing means: a lease it no longer
+// holds was released or collected, and the firing is a no-op; one
+// renewed since the arm has its watchdog re-armed in place for the
+// remainder; any other expired — its client stopped heartbeating — and
+// is ended and its timers garbage-collected, in the same s.mu hold as
+// the check, so no renewal can land in between.
+func (s *server) onLeaseWatchdog(id uint64) {
+	s.mu.Lock()
+	ls, live := s.state.Leases[id]
+	if !live {
+		s.mu.Unlock()
+		return
+	}
+	if remain := time.Duration(ls.Expiry - s.clk.Now().UnixNano()); remain > 0 {
+		s.mu.Unlock()
+		s.leases.Rearm(id, remain)
+		return
+	}
+	owned, wd := s.leases.Forget(id)
+	victims := s.expireLeaseLocked(id, owned)
+	s.mu.Unlock()
+	s.fac.StopBatch(append(victims, wd))
 }
 
-// gcLease logs a lease's end and cancels every timer it still owned.
-// commit forces the records durable before returning (client-acked
-// release); the expiry path lets the sync policy absorb them. The
-// returned error reports a WAL failure: the in-memory GC still ran —
-// the lease is gone either way — but the caller must not ack success,
-// because replay may resurrect some of the cancelled timers (the
-// at-least-once window a 503 permits).
-func (s *server) gcLease(leaseID uint64, timers []uint64, commit bool) ([]uint64, error) {
-	s.mu.Lock()
-	rec := wal.Record{Op: wal.OpLeaseExpire, ID: leaseID}
+// expireLeaseLocked ends lease id for missed heartbeats and cancels the
+// timers of owned still outstanding, returning their handles to stop
+// outside s.mu. Nobody waits on an ack, so the records ride the sync
+// policy: one lost in a crash only replays the lease, and the expiry
+// GCs it again. Caller holds s.mu.
+func (s *server) expireLeaseLocked(id uint64, owned []uint64) []*timer.Timer {
+	victims, cancelled, _, _ := s.endLeaseLocked(id, owned)
+	s.noteUnsyncedLocked(1 + len(cancelled))
+	s.leasesExpired.Add(1)
+	return victims
+}
+
+// endLeaseLocked logs lease id's end (OpLeaseExpire, for an expiry and a
+// release alike) and cancels every timer of owned that is still
+// outstanding. It returns the cancelled handles (nil if unpublished) to
+// stop outside s.mu, the cancelled IDs, and the LSN of the last record
+// appended. The State ends the lease even if an append failed — the
+// lease is gone either way — and the error then tells an acking caller
+// not to report success: replay may resurrect some of the cancelled
+// timers (the at-least-once window a 503 permits). Caller holds s.mu.
+func (s *server) endLeaseLocked(id uint64, owned []uint64) ([]*timer.Timer, []uint64, wal.LSN, error) {
+	rec := wal.Record{Op: wal.OpLeaseExpire, ID: id}
 	lsn, werr := s.log.Append(rec)
 	s.state.Apply(rec)
-	victims := make([]*timer.Timer, 0, len(timers))
-	cancelled := make([]uint64, 0, len(timers))
-	for _, tid := range timers {
+	victims := make([]*timer.Timer, 0, len(owned))
+	cancelled := make([]uint64, 0, len(owned))
+	for _, tid := range owned {
 		ts, ok := s.state.Timers[tid]
 		if !ok {
 			continue // already fired or cancelled
@@ -517,17 +544,7 @@ func (s *server) gcLease(leaseID uint64, timers []uint64, commit bool) ([]uint64
 		victims = append(victims, tm)
 		cancelled = append(cancelled, tid)
 	}
-	if !commit {
-		s.noteUnsyncedLocked(1 + len(cancelled))
-	}
-	s.mu.Unlock()
-	if commit {
-		if cerr := s.log.Commit(lsn); cerr != nil && werr == nil {
-			werr = cerr
-		}
-	}
-	s.fac.StopBatch(victims)
-	return cancelled, werr
+	return victims, cancelled, lsn, werr
 }
 
 // routes builds the daemon's mux. Write endpoints pass through the
@@ -675,11 +692,6 @@ func (s *server) admit(items []scheduleItem, sp *stagetrace.Span) ([]scheduledAc
 		default:
 			return nil, http.StatusBadRequest, "bad_request", fmt.Errorf("item %d: need after_ms or deadline_unix_ns", i)
 		}
-		if it.Lease != 0 {
-			if _, live := s.leases.Expiry(it.Lease); !live {
-				return nil, http.StatusConflict, "lease_not_alive", fmt.Errorf("item %d: lease %d is not alive", i, it.Lease)
-			}
-		}
 	}
 	sp.Mark("decode")
 
@@ -691,6 +703,12 @@ func (s *server) admit(items []scheduleItem, sp *stagetrace.Span) ([]scheduledAc
 	if s.draining {
 		s.mu.Unlock()
 		return nil, http.StatusServiceUnavailable, "draining", fmt.Errorf("draining")
+	}
+	for i, it := range items {
+		if _, live := s.state.Leases[it.Lease]; it.Lease != 0 && !live {
+			s.mu.Unlock()
+			return nil, http.StatusConflict, "lease_not_alive", fmt.Errorf("item %d: lease %d is not alive", i, it.Lease)
+		}
 	}
 	var lsn wal.LSN
 	for i, it := range items {
@@ -954,6 +972,26 @@ func (s *server) handleReset(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"matched": matched, "accepted": accepted})
 }
 
+// leaseTTL clamps a requested lease TTL to [minLeaseTTL, maxLeaseTTL];
+// ms <= 0 takes the -lease-ttl default.
+func (s *server) leaseTTL(ms int64) time.Duration {
+	ttl := time.Duration(ms) * time.Millisecond
+	if ms <= 0 {
+		ttl = s.cfg.defaultTTL
+	}
+	return min(max(ttl, minLeaseTTL), maxLeaseTTL)
+}
+
+// Lease TTL bounds: a heartbeat period under a second is a client bug,
+// and one past ten minutes a session nobody will notice die.
+const (
+	minLeaseTTL = time.Second
+	maxLeaseTTL = 10 * time.Minute
+)
+
+// handleLeaseGrant grants a lease the way admission admits a timer:
+// append, apply, commit, and only then arm its watchdog. The ID is the
+// State's lease high-water plus one.
 func (s *server) handleLeaseGrant(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		TTLMS int64 `json:"ttl_ms"`
@@ -961,37 +999,51 @@ func (s *server) handleLeaseGrant(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	id, expiry, err := s.leases.Grant(time.Duration(req.TTLMS) * time.Millisecond)
-	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, "unavailable", err.Error())
+	ttl := s.leaseTTL(req.TTLMS)
+	s.mu.Lock()
+	if s.draining {
+		s.mu.Unlock()
+		httpError(w, http.StatusServiceUnavailable, "draining", "draining")
 		return
 	}
-	rec := wal.Record{Op: wal.OpLeaseGrant, ID: id, Deadline: expiry.UnixNano()}
-	s.mu.Lock()
-	lsn, werr := s.log.Append(rec)
-	if werr == nil {
-		s.state.Apply(rec)
+	id := s.state.NextLeaseID + 1
+	expiry := s.clk.Now().Add(ttl).UnixNano()
+	rec := wal.Record{Op: wal.OpLeaseGrant, ID: id, Deadline: expiry}
+	lsn, err := s.log.Append(rec)
+	if err != nil {
+		s.mu.Unlock()
+		httpError(w, http.StatusServiceUnavailable, "wal_failed", "wal append: "+err.Error())
+		return
 	}
+	s.state.Apply(rec)
 	s.mu.Unlock()
-	if werr == nil {
-		if werr = s.log.Commit(lsn); werr != nil {
-			s.mu.Lock()
+	if err := s.log.Commit(lsn); err != nil {
+		// Undo the grant in the State only, as handleStop undoes a
+		// cancel. NextLeaseID stays past id: the record may be on disk,
+		// and replay would then restore a lease nobody holds, which its
+		// watchdog expires through the normal path.
+		s.mu.Lock()
+		if _, live := s.state.Leases[id]; live {
 			delete(s.state.Leases, id)
 			s.state.LeasesGranted--
-			s.mu.Unlock()
 		}
-	}
-	if werr != nil {
-		// An unacked grant must not live on in memory: if the record did
-		// sneak to disk, replay restores a lease nobody holds and its
-		// watchdog expires it through the normal path.
-		s.leases.Release(id)
-		httpError(w, http.StatusServiceUnavailable, "wal_failed", werr.Error())
+		s.mu.Unlock()
+		httpError(w, http.StatusServiceUnavailable, "wal_failed", "wal commit: "+err.Error())
 		return
 	}
-	writeJSON(w, map[string]any{"lease": id, "expiry_unix_ns": expiry.UnixNano()})
+	// Armed against a fresh reading, so the commit time is not added to
+	// the TTL. Only a facility that started draining since the check
+	// refuses; the durable lease then replays on the next boot.
+	if err := s.leases.Watch(id, time.Duration(expiry-s.clk.Now().UnixNano()), nil); err != nil {
+		httpError(w, http.StatusServiceUnavailable, "draining", "lease watchdog: "+err.Error())
+		return
+	}
+	writeJSON(w, map[string]any{"lease": id, "expiry_unix_ns": expiry})
 }
 
+// handleLeaseRenew moves a live lease's expiry in the State: append,
+// apply, commit. The watchdog is left alone; when it fires it finds the
+// new expiry and re-arms for the remainder.
 func (s *server) handleLeaseRenew(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Lease uint64 `json:"lease"`
@@ -1000,44 +1052,45 @@ func (s *server) handleLeaseRenew(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	oldExpiry, live := s.leases.Expiry(req.Lease)
-	if !live {
-		httpError(w, http.StatusNotFound, "lease_not_alive", "lease not alive")
-		return
-	}
-	expiry, ok := s.leases.Renew(req.Lease, time.Duration(req.TTLMS)*time.Millisecond)
-	if !ok {
-		httpError(w, http.StatusNotFound, "lease_not_alive", "lease not alive")
-		return
-	}
-	rec := wal.Record{Op: wal.OpLeaseRenew, ID: req.Lease, Deadline: expiry.UnixNano()}
+	ttl := s.leaseTTL(req.TTLMS)
 	s.mu.Lock()
-	lsn, werr := s.log.Append(rec)
-	if werr == nil {
-		s.state.Apply(rec)
+	old, live := s.state.Leases[req.Lease]
+	if !live {
+		s.mu.Unlock()
+		httpError(w, http.StatusNotFound, "lease_not_alive", "lease not alive")
+		return
 	}
+	expiry := s.clk.Now().Add(ttl).UnixNano()
+	rec := wal.Record{Op: wal.OpLeaseRenew, ID: req.Lease, Deadline: expiry}
+	lsn, err := s.log.Append(rec)
+	if err != nil {
+		s.mu.Unlock()
+		httpError(w, http.StatusServiceUnavailable, "wal_failed", "wal append: "+err.Error())
+		return
+	}
+	s.state.Apply(rec)
 	s.mu.Unlock()
-	if werr == nil {
-		werr = s.log.Commit(lsn)
-	}
-	if werr != nil {
+	if err := s.log.Commit(lsn); err != nil {
 		// An acked renewal that is not durable would silently revert to
 		// the old expiry on restart — the client's timers would then be
-		// GC'd early. Roll the in-memory expiry back (unless a later
-		// renewal already moved it) so memory never promises more than
-		// the log, and let the client retry against the 503.
-		s.leases.RevertExpiry(req.Lease, expiry, oldExpiry)
+		// GC'd early. Restore the old expiry (unless a later renewal
+		// already moved it) so memory never promises more than the log,
+		// and let the client retry against the 503.
 		s.mu.Lock()
-		if ls, live := s.state.Leases[req.Lease]; live && ls.Expiry == expiry.UnixNano() {
-			s.state.Leases[req.Lease] = wal.LeaseState{Expiry: oldExpiry.UnixNano()}
+		if ls, live := s.state.Leases[req.Lease]; live && ls.Expiry == expiry {
+			s.state.Leases[req.Lease] = old
 		}
 		s.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, "wal_failed", werr.Error())
+		httpError(w, http.StatusServiceUnavailable, "wal_failed", "wal commit: "+err.Error())
 		return
 	}
-	writeJSON(w, map[string]any{"expiry_unix_ns": expiry.UnixNano()})
+	s.leasesRenewed.Add(1)
+	writeJSON(w, map[string]any{"expiry_unix_ns": expiry})
 }
 
+// handleLeaseRelease ends a lease at its client's request: the end
+// record, the cancels of its timers and the hand-over of its owned set
+// and watchdog happen in one s.mu hold, then one commit.
 func (s *server) handleLeaseRelease(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Lease uint64 `json:"lease"`
@@ -1045,12 +1098,20 @@ func (s *server) handleLeaseRelease(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	timers, ok := s.leases.Release(req.Lease)
-	if !ok {
+	s.mu.Lock()
+	if _, live := s.state.Leases[req.Lease]; !live {
+		s.mu.Unlock()
 		httpError(w, http.StatusNotFound, "lease_not_alive", "lease not alive")
 		return
 	}
-	cancelled, err := s.gcLease(req.Lease, timers, true)
+	owned, wd := s.leases.Forget(req.Lease)
+	victims, cancelled, lsn, err := s.endLeaseLocked(req.Lease, owned)
+	s.mu.Unlock()
+	s.leasesReleased.Add(1)
+	if err == nil {
+		err = s.log.Commit(lsn)
+	}
+	s.fac.StopBatch(append(victims, wd))
 	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, "wal_failed", "released, but not durably: "+err.Error())
 		return
@@ -1203,10 +1264,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"scheduled_total": s.state.Scheduled,
 		"fired_total":     s.state.Fired,
 		"cancelled_total": s.state.Cancelled,
+		"leases_active":   len(s.state.Leases),
 	}
 	s.mu.Unlock()
-	ls := s.leases.Stats()
-	body["leases_active"] = ls.Active
 	ws := s.log.Stats()
 	body["wal"] = map[string]any{
 		"epoch": ws.Epoch, "lsn": ws.LSN, "durable": ws.Durable,
@@ -1258,8 +1318,8 @@ func (s *server) extraMetrics() []telemetry.Metric {
 	walStat := func(f func(wal.Stats) float64) func() float64 {
 		return func() float64 { return f(s.log.Stats()) }
 	}
-	leaseStat := func(f func(lease.Stats) float64) func() float64 {
-		return func() float64 { return f(s.leases.Stats()) }
+	counter := func(c *atomic.Uint64) func() float64 {
+		return func() float64 { return float64(c.Load()) }
 	}
 	srvStat := func(f func(*server) float64) func() float64 {
 		return func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return f(s) }
@@ -1271,11 +1331,11 @@ func (s *server) extraMetrics() []telemetry.Metric {
 		{Name: "wal_snapshots_total", Help: "WAL compaction snapshots.", Value: walStat(func(w wal.Stats) float64 { return float64(w.Snapshots) })},
 		{Name: "wal_segment_bytes", Help: "Active WAL segment size.", Gauge: true, Value: walStat(func(w wal.Stats) float64 { return float64(w.SegmentBytes) })},
 		{Name: "wal_unsynced_records", Help: "Appended records not yet durable.", Gauge: true, Value: walStat(func(w wal.Stats) float64 { return float64(w.LSN - w.Durable) })},
-		{Name: "leases_active", Help: "Live client leases.", Gauge: true, Value: leaseStat(func(l lease.Stats) float64 { return float64(l.Active) })},
-		{Name: "leases_granted_total", Help: "Leases granted.", Value: leaseStat(func(l lease.Stats) float64 { return float64(l.Granted) })},
-		{Name: "leases_renewed_total", Help: "Lease renewals.", Value: leaseStat(func(l lease.Stats) float64 { return float64(l.Renewed) })},
-		{Name: "leases_expired_total", Help: "Leases expired for missed heartbeats.", Value: leaseStat(func(l lease.Stats) float64 { return float64(l.Expired) })},
-		{Name: "leases_released_total", Help: "Leases released by their clients.", Value: leaseStat(func(l lease.Stats) float64 { return float64(l.Released) })},
+		{Name: "leases_active", Help: "Live client leases.", Gauge: true, Value: srvStat(func(s *server) float64 { return float64(len(s.state.Leases)) })},
+		{Name: "leases_granted_total", Help: "Leases granted.", Value: srvStat(func(s *server) float64 { return float64(s.state.LeasesGranted) })},
+		{Name: "leases_renewed_total", Help: "Lease renewals.", Value: counter(&s.leasesRenewed)},
+		{Name: "leases_expired_total", Help: "Leases expired for missed heartbeats.", Value: counter(&s.leasesExpired)},
+		{Name: "leases_released_total", Help: "Leases released by their clients.", Value: counter(&s.leasesReleased)},
 		{Name: "twd_scheduled_total", Help: "Timers durably admitted.", Value: srvStat(func(s *server) float64 { return float64(s.state.Scheduled) })},
 		{Name: "twd_fired_total", Help: "Timers delivered.", Value: srvStat(func(s *server) float64 { return float64(s.state.Fired) })},
 		{Name: "twd_cancelled_total", Help: "Timers cancelled.", Value: srvStat(func(s *server) float64 { return float64(s.state.Cancelled) })},

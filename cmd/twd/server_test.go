@@ -241,26 +241,47 @@ func TestLeaseExpiryGarbageCollects(t *testing.T) {
 	}
 }
 
+// TestLeaseRenewKeepsAlive: heartbeats keep a lease alive across its
+// TTL, and they move only the State's expiry. The watchdog armed for
+// the original TTL fires, finds the lease renewed, and chases it by
+// re-arming for the remainder; once heartbeats stop, the renewed TTL
+// lapses and the lease expires once.
 func TestLeaseRenewKeepsAlive(t *testing.T) {
-	f := newFixture(t, nil)
-	var lr struct {
-		Lease uint64 `json:"lease"`
-	}
+	fc := clock.NewFake(time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC))
+	f := newFixture(t, func(c *config) { c.clk = fc })
+	var lr leaseGrant
 	f.post("/v1/lease", map[string]any{"ttl_ms": 1000}, &lr, 200)
 	// Renew a few times across the original TTL.
 	for i := 0; i < 3; i++ {
-		time.Sleep(600 * time.Millisecond)
-		var rr struct {
-			Expiry int64 `json:"expiry_unix_ns"`
-		}
+		_, fired, _ := f.srv.fac.Stats()
+		fc.Advance(600 * time.Millisecond)
+		var rr leaseGrant
 		f.post("/v1/lease/renew", map[string]any{"lease": lr.Lease, "ttl_ms": 1000}, &rr, 200)
-		if rr.Expiry <= time.Now().UnixNano() {
-			t.Fatal("renewed expiry not in the future")
+		if want := fc.Now().Add(time.Second).UnixNano(); rr.ExpiryNS != want {
+			t.Fatalf("renewed expiry %d, want now+1s = %d", rr.ExpiryNS, want)
+		}
+		if i == 0 {
+			continue
+		}
+		// Past the previous expiry's watchdog: it fires and chases.
+		waitUntil(t, "the watchdog fires", func() bool {
+			_, n, _ := f.srv.fac.Stats()
+			return n > fired
+		})
+		if !f.leaseLive(lr.Lease) || f.srv.leasesExpired.Load() != 0 {
+			t.Fatalf("heartbeat %d: renewed lease expired", i)
+		}
+		if n := f.srv.fac.Outstanding(); n != 1 {
+			t.Fatalf("facility holds %d timers after the chase, want the re-armed watchdog", n)
 		}
 	}
-	h := f.checkLedger()
-	if h.LeasesActive != 1 {
+	if h := f.checkLedger(); h.LeasesActive != 1 {
 		t.Fatalf("lease died despite heartbeats")
+	}
+	fc.Advance(1100 * time.Millisecond)
+	waitUntil(t, "the lapsed lease expires", func() bool { return !f.leaseLive(lr.Lease) })
+	if n := f.srv.leasesExpired.Load(); n != 1 {
+		t.Fatalf("leases_expired_total %d, want 1", n)
 	}
 }
 
@@ -284,8 +305,21 @@ func TestLeaseReleaseCancelsOwned(t *testing.T) {
 	if h.Outstanding != 1 || h.LeasesActive != 0 {
 		t.Fatalf("outstanding=%d leases=%d, want 1/0", h.Outstanding, h.LeasesActive)
 	}
-	// Scheduling against the released lease is refused.
+	// The release stopped the lease's watchdog along with its timer: the
+	// facility holds only the survivor.
+	if n := f.srv.fac.Outstanding(); n != 1 {
+		t.Fatalf("facility holds %d timers after release, want the survivor alone", n)
+	}
+	if _, _, stopped := f.srv.fac.Stats(); stopped != 2 {
+		t.Fatalf("facility stopped %d timers, want the owned timer and the watchdog", stopped)
+	}
+	if f.srv.leasesReleased.Load() != 1 || f.srv.leasesExpired.Load() != 0 {
+		t.Fatalf("released/expired = %d/%d, want 1/0", f.srv.leasesReleased.Load(), f.srv.leasesExpired.Load())
+	}
+	// The released lease is dead to every verb.
 	f.post("/v1/schedule", scheduleItem{AfterMS: 1000, Lease: lr.Lease}, nil, http.StatusConflict)
+	f.post("/v1/lease/renew", map[string]any{"lease": lr.Lease}, nil, http.StatusNotFound)
+	f.post("/v1/lease/release", map[string]any{"lease": lr.Lease}, nil, http.StatusNotFound)
 }
 
 func TestBadRequests(t *testing.T) {
@@ -814,15 +848,17 @@ func TestTermFenceOnHigherTerm(t *testing.T) {
 // TestBootGCsExpiredLeases: a lease that expired while the daemon was
 // down is a client that died with it. Its timers must be GC'd during
 // replay — synchronously, before the daemon admits anything — not via
-// a watchdog racing the first admissions.
+// a watchdog racing the first admissions; it ends exactly once, gets no
+// watchdog, and is dead to every verb.
 func TestBootGCsExpiredLeases(t *testing.T) {
 	dir := t.TempDir()
-	f1 := newFixture(t, func(c *config) { c.dir = dir })
+	fc := clock.NewFake(time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC))
+	f1 := newFixture(t, func(c *config) { c.dir = dir; c.clk = fc })
 
 	var lr struct {
 		Lease uint64 `json:"lease"`
 	}
-	// 1s is the table's MinTTL floor; anything shorter silently clamps.
+	// 1s is twd's TTL floor; anything shorter silently clamps.
 	f1.post("/v1/lease", map[string]any{"ttl_ms": 1000}, &lr, 200)
 	f1.post("/v1/schedule", map[string]any{"after_ms": 60_000, "lease": lr.Lease}, nil, 200)
 	f1.post("/v1/schedule", map[string]any{"after_ms": 60_000}, nil, 200) // leaseless control
@@ -832,9 +868,9 @@ func TestBootGCsExpiredLeases(t *testing.T) {
 	f1.ts.Close()
 
 	// Let the lease's TTL lapse while "down".
-	time.Sleep(1100 * time.Millisecond)
+	fc.Advance(30 * time.Second)
 
-	f2 := newFixture(t, func(c *config) { c.dir = dir })
+	f2 := newFixture(t, func(c *config) { c.dir = dir; c.clk = fc })
 	// No settling wait: the GC must have happened inside newServer.
 	h := f2.checkLedger()
 	if h.LeasesActive != 0 {
@@ -846,6 +882,14 @@ func TestBootGCsExpiredLeases(t *testing.T) {
 	if h.Cancelled != 1 {
 		t.Fatalf("cancelled_total=%d, want the dead client's timer GC'd", h.Cancelled)
 	}
+	if n := f2.srv.leasesExpired.Load(); n != 1 {
+		t.Fatalf("lease ended %d times, want exactly 1", n)
+	}
+	if _, wd := f2.srv.leases.Forget(lr.Lease); wd != nil {
+		t.Fatal("the collected lease has a watchdog")
+	}
+	f2.post("/v1/lease/renew", map[string]any{"lease": lr.Lease}, nil, http.StatusNotFound)
+	f2.post("/v1/schedule", scheduleItem{AfterMS: 1000, Lease: lr.Lease}, nil, http.StatusConflict)
 }
 
 // fireN admits n timers due within a few ticks, in batches, and waits

@@ -9,20 +9,17 @@ package timer
 // Only timers scheduled with WithTag (tag != 0) are journaled; the
 // runtime's internal timers and untagged user timers cost a single nil
 // check. The callbacks must be fast, must not block, and must not call
-// back into the runtime (TimerArmed/TimerStopped run under the
-// runtime's internal lock; TimerFired runs on the delivering goroutine
-// with no runtime lock held).
+// back into the runtime (they run under the runtime's internal lock).
 //
 // Timing guarantees, per tag:
 //
 //   - TimerArmed runs when the timer is armed in the facility, in
 //     facility order — for every (re)arm, including Reset/ResetBatch.
 //   - TimerStopped runs when a cancellation settles.
-//   - TimerFired runs when the expiry action has actually run (or the
-//     After send was delivered), with the delivery lag in nanoseconds.
-//     A journal that also implements FireBatcher receives the fires
-//     through TimersFired instead, one call per poll. Either way each
-//     fire is reported exactly once, after its action ran.
+//
+// Fires reach a journal only if it also implements FireBatcher: each
+// fire is reported exactly once, through TimersFired, after its action
+// ran.
 //
 // Timers cancelled en masse by Close or a drain policy's cut-off are
 // counted in DrainReport/Health, not journaled per timer — a
@@ -31,7 +28,6 @@ package timer
 type Journal interface {
 	TimerArmed(tag uint64, id ID, deadline Tick)
 	TimerStopped(tag uint64, id ID)
-	TimerFired(tag uint64, id ID, lagNS int64)
 }
 
 // Fire is one journaled delivery: the timer's tag and facility ID and
@@ -42,8 +38,8 @@ type Fire struct {
 	LagNS int64
 }
 
-// FireBatcher is an optional Journal extension that settles a poll's
-// deliveries as one batch — paper §2 prices EXPIRY_PROCESSING per tick,
+// FireBatcher is the Journal extension that observes deliveries, a
+// poll's worth at a time — paper §2 prices EXPIRY_PROCESSING per tick,
 // and a durability layer can then take its own lock once per tick
 // rather than once per fire.
 //
@@ -55,28 +51,6 @@ type Fire struct {
 // the duration of the call and must not be retained.
 type FireBatcher interface {
 	TimersFired(fires []Fire)
-}
-
-// fireLoop adapts a Journal without TimersFired, so the runtime has one
-// delivery path whatever the journal implements.
-type fireLoop struct{ j Journal }
-
-func (f fireLoop) TimersFired(fires []Fire) {
-	for _, x := range fires {
-		f.j.TimerFired(x.Tag, x.ID, x.LagNS)
-	}
-}
-
-// batcherFor returns the fire sink for journal j: j itself when it
-// batches, else a loop over its TimerFired. nil for a nil journal.
-func batcherFor(j Journal) FireBatcher {
-	if j == nil {
-		return nil
-	}
-	if b, ok := j.(FireBatcher); ok {
-		return b
-	}
-	return fireLoop{j}
 }
 
 // WithJournal installs the journal. One journal per runtime; pass the

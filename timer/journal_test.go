@@ -37,8 +37,10 @@ func (j *recordingJournal) TimerArmed(tag uint64, id ID, _ Tick) {
 func (j *recordingJournal) TimerStopped(tag uint64, id ID) {
 	j.add(jEvent{kind: "stopped", tag: tag, id: id})
 }
-func (j *recordingJournal) TimerFired(tag uint64, id ID, lagNS int64) {
-	j.add(jEvent{kind: "fired", tag: tag, id: id, lag: lagNS})
+func (j *recordingJournal) TimersFired(fires []Fire) {
+	for _, f := range fires {
+		j.add(jEvent{kind: "fired", tag: f.Tag, id: f.ID, lag: f.LagNS})
+	}
 }
 
 // byTag returns the event kinds recorded for one tag, in order.
@@ -468,9 +470,9 @@ func TestDrainFireNowRacesLateScheduleBatch(t *testing.T) {
 	}
 }
 
-// batchJournal is a recordingJournal that also takes fires in batches:
-// TimersFired records each call's fires (copied — the slice is reused)
-// and runs onBatch, if set, inside the call.
+// batchJournal is a recordingJournal that keeps the fire batches
+// themselves: TimersFired records each call's fires (copied — the slice
+// is reused) and runs onBatch, if set, inside the call.
 type batchJournal struct {
 	recordingJournal
 	batches [][]Fire
@@ -489,8 +491,7 @@ func (j *batchJournal) TimersFired(fires []Fire) {
 // TestTimersFiredOneCallPerPoll: the tagged timers one poll delivers
 // reach a FireBatcher in one TimersFired call, each fire with its own
 // tag, ID and lag, after every callback of the poll ran and with no
-// runtime lock held; untagged timers stay out of the batch, and the
-// per-fire TimerFired is not called.
+// runtime lock held; untagged timers stay out of the batch.
 func TestTimersFiredOneCallPerPoll(t *testing.T) {
 	for _, ingress := range []bool{false, true} {
 		t.Run(map[bool]string{false: "sync", true: "ingress"}[ingress], func(t *testing.T) {
@@ -542,11 +543,6 @@ func TestTimersFiredOneCallPerPoll(t *testing.T) {
 			if len(timers) != 0 {
 				t.Fatalf("%d tagged timers missing from the batch", len(timers))
 			}
-			for _, e := range j.events {
-				if e.kind == "fired" {
-					t.Fatalf("TimerFired called for tag %d alongside TimersFired", e.tag)
-				}
-			}
 			fc.Advance(10 * time.Millisecond)
 			rt.Poll()
 			if len(j.batches) != 1 {
@@ -555,35 +551,6 @@ func TestTimersFiredOneCallPerPoll(t *testing.T) {
 			checkConservation(t, rt)
 		})
 	}
-}
-
-// TestJournalWithoutBatcherSeesEachFire: a Journal without TimersFired
-// still gets one TimerFired per tagged delivery, with its lag.
-func TestJournalWithoutBatcherSeesEachFire(t *testing.T) {
-	const n = 32
-	j := &recordingJournal{}
-	rt, fc := newFakeRuntime(t, WithJournal(j))
-	for i := 1; i <= n; i++ {
-		var fn func()
-		if i%2 == 0 {
-			fn = func() {}
-		}
-		if _, err := rt.Schedule(Tick(i), fn, WithTag(uint64(i))); err != nil {
-			t.Fatalf("Schedule(%d): %v", i, err)
-		}
-	}
-	fc.Advance(n * 10 * time.Millisecond)
-	rt.Poll()
-	for i := 1; i <= n; i++ {
-		ev := j.byTag(uint64(i))
-		if !sameKinds(ev, "armed", "fired") {
-			t.Fatalf("tag %d: %v, want [armed fired]", i, kinds(ev))
-		}
-		if want := int64(n-i) * int64(10*time.Millisecond); ev[1].lag != want {
-			t.Fatalf("tag %d: lag %dns, want %dns", i, ev[1].lag, want)
-		}
-	}
-	checkConservation(t, rt)
 }
 
 // TestJournalOnlyTimer: a tagged request with a nil callback is

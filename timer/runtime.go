@@ -170,8 +170,8 @@ type Runtime struct {
 
 	// journal is the durability hook (immutable after NewRuntime); nil
 	// unless WithJournal. batcher is where a poll's fires go: the
-	// journal itself when it implements FireBatcher, else a loop over
-	// its TimerFired. See journal.go.
+	// journal itself when it implements FireBatcher, else nil. See
+	// journal.go.
 	journal Journal
 	batcher FireBatcher
 
@@ -274,6 +274,7 @@ func NewRuntime(opts ...RuntimeOption) *Runtime {
 	if cfg.scheme == nil {
 		cfg.scheme = NewHashedWheel(4096)
 	}
+	batcher, _ := cfg.journal.(FireBatcher)
 	rt := &Runtime{
 		fac:          cfg.scheme,
 		now:          cfg.nowFunc,
@@ -290,7 +291,7 @@ func NewRuntime(opts ...RuntimeOption) *Runtime {
 		batchHist:    hdr.New(),
 		granNS:       cfg.granularity.Nanoseconds(),
 		journal:      cfg.journal,
-		batcher:      batcherFor(cfg.journal),
+		batcher:      batcher,
 	}
 	if cfg.traceCap > 0 {
 		rt.trace = newTraceRing(cfg.traceCap, cfg.traceSink)
